@@ -8,7 +8,7 @@ from pathlib import Path
 from . import harness
 from .config import ConfigError, ScenarioConfig
 from .metrics import Metrics
-from .presets import PRESETS, VARIANTS
+from .presets import PRESETS, VARIANTS, ExperimentSpec
 from .scenario import ScriptError, load_script, run_scenario
 
 
@@ -29,51 +29,48 @@ def parse_sets(pairs: list[str]) -> dict:
     return out
 
 
+def file_spec(path: Path) -> ExperimentSpec:
+    """A config file as a one-point experiment: sweep ``-``, variant nobcr,
+    the file's own seed."""
+    base = ScenarioConfig.from_file(path)
+    point = (("-", {}),)
+    return ExperimentSpec(
+        name=path.stem,
+        base=base.to_mapping(),
+        desk={},
+        sweep=point,
+        desk_sweep=point,
+        variants=("nobcr",),
+        seeds=(base.seed,),
+        desk_seeds=(base.seed,),
+    )
+
+
 def cmd_run(args) -> int:
     overrides = parse_sets(args.set)
     seeds = parse_seeds(args.seeds) if args.seeds else None
     if args.target in PRESETS:
-        rows = harness.run_experiment(
-            args.target,
-            desk=args.desk,
-            seeds=seeds,
-            variants=args.variant or None,
-            out_dir=args.out,
-            jobs=args.jobs,
-            overrides=overrides or None,
-        )
-        experiment = args.target
+        spec = PRESETS[args.target]
+        stem = f"{spec.name}_{'desk' if args.desk else 'full'}"
     else:
         path = Path(args.target)
         if not path.exists():
             print(f"error: {args.target!r} is neither a preset nor a config file", file=sys.stderr)
             print(f"presets: {', '.join(sorted(PRESETS))}", file=sys.stderr)
             return 2
-        base = ScenarioConfig.from_file(path)
-        cfg = {**base.to_mapping(), **overrides}
-        names = args.variant or ["nobcr"]
-        tasks = []
-        for name in names:
-            if name not in VARIANTS:
-                print(f"error: unknown variant {name!r}", file=sys.stderr)
-                return 2
-            for seed in seeds or [base.seed]:
-                tasks.append(
-                    {
-                        "experiment": path.stem,
-                        "variant": name,
-                        "sweep": "-",
-                        "seed": seed,
-                        "config": cfg,
-                    }
-                )
-        rows = harness.run_tasks(tasks, jobs=args.jobs)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        harness.write_raw_csv(rows, out / f"{path.stem}_raw.csv")
-        harness.write_agg_csv(harness.aggregate(rows), out / f"{path.stem}_agg.csv")
-        experiment = path.stem
-    print(f"{experiment}: {len(rows)} runs written to {args.out}/")
+        spec = file_spec(path)
+        stem = path.stem
+    rows = harness.run_experiment(
+        spec,
+        stem,
+        desk=args.desk,
+        seeds=seeds,
+        variants=args.variant,
+        out_dir=args.out,
+        jobs=args.jobs,
+        overrides=overrides or None,
+    )
+    print(f"{spec.name}: {len(rows)} runs written to {args.out}/")
     for agg in harness.aggregate(rows):
         print(
             f"  {agg['variant']:<12s} sweep={agg['sweep']:<6s} "

@@ -119,9 +119,6 @@ class TtlSet:
     def add(self, pid: PacketId, now: float) -> None:
         self._deadlines[pid] = now + self.ttl
 
-    def __contains__(self, pid: PacketId) -> bool:
-        raise TypeError("use .contains(pid, now)")
-
     def contains(self, pid: PacketId, now: float) -> bool:
         deadline = self._deadlines.get(pid)
         if deadline is None:
@@ -190,18 +187,20 @@ class PlanItem(NamedTuple):
     gratis: bool
 
 
-class QueuedLike(NamedTuple):
-    """What the detector needs to know about a buffered packet."""
+@dataclass(slots=True)
+class OutEntry:
+    """A buffered packet waiting out its relay assessment delay."""
 
     pid: PacketId
     deadline: float
-    seq: int
     gratis: bool
+    seq: int
+    token: int
 
 
 def detect_coding(
     seed: PlanItem,
-    queue: Iterable[QueuedLike],
+    queue: Iterable[OutEntry],
     view: NeighborView,
     known_of: Callable[[PacketId], NodeSet],
     include_gratis: bool,
@@ -301,9 +300,7 @@ def encode(
     )
 
 
-def mark_gratis(entry: PoolEntry, view: NeighborView, is_forwarder: bool) -> bool:
-    """A packet is worth keeping gratis when this node was not elected to
-    relay it and some current neighbour is not yet estimated to hold it."""
-    if is_forwarder:
-        return False
+def mark_gratis(entry: PoolEntry, view: NeighborView) -> bool:
+    """A packet this node was not elected to relay is worth keeping gratis
+    when some current neighbour is not yet estimated to hold it."""
     return view.one_hop & ~receivers_of(entry, view) != 0

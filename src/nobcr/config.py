@@ -2,7 +2,9 @@
 
 Configs load from flat ``key = value`` text files (``#`` comments allowed).
 Unknown keys are an error rather than silently ignored, so typos in sweep
-scripts fail fast.
+scripts fail fast.  Each value is parsed by the type annotated on its
+``ScenarioConfig`` field (enum, bool, int, else float), so a new knob needs
+no parsing table.
 """
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ import dataclasses
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, get_type_hints
 
 
 class ConfigError(ValueError):
@@ -84,12 +86,10 @@ class ScenarioConfig:
     seed: int = 1
     sample_interval: float = 1.0
     sample_storage: bool = False  # periodic detector-storage sampling
-    log_events: bool = False
 
     def __post_init__(self) -> None:
-        self.termination = _coerce("termination", self.termination, Termination)
-        self.coding = _coerce("coding", self.coding, Coding)
-        self.pruning = _coerce("pruning", self.pruning, Pruning)
+        for key, enum_cls in _ENUM_HINTS.items():
+            setattr(self, key, _coerce(key, getattr(self, key), enum_cls))
         self.validate()
 
     def validate(self) -> None:
@@ -135,7 +135,7 @@ class ScenarioConfig:
 
     def to_mapping(self) -> dict[str, Any]:
         out = dataclasses.asdict(self)
-        for key in _ENUM_FIELDS:
+        for key in _ENUM_HINTS:
             out[key] = out[key].value
         return out
 
@@ -150,9 +150,8 @@ class ScenarioConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kwargs: dict[str, Any] = {}
-        hints = {f.name: f.type for f in dataclasses.fields(cls)}
         for key, raw in mapping.items():
-            kwargs[key] = _coerce(key, raw, hints[key])
+            kwargs[key] = _coerce(key, raw, _HINTS[key])
         try:
             return cls(**kwargs)
         except TypeError as exc:  # missing required keys
@@ -166,38 +165,34 @@ class ScenarioConfig:
 _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
                "false": False, "no": False, "off": False, "0": False}
 
-_INT_FIELDS = {"n_nodes", "n_sources", "pkt_size", "mcu_window", "seed"}
-_BOOL_FIELDS = {
-    "collisions", "hello_enabled", "preconverged_views", "coded_redundancy",
-    "gratis_rule_off", "blind_flood", "sample_storage", "log_events",
-}
-_ENUM_FIELDS = {"termination": Termination, "coding": Coding, "pruning": Pruning}
+# field name -> annotated type, resolved once (annotations are strings here)
+_HINTS: dict[str, type] = get_type_hints(ScenarioConfig)
+_ENUM_HINTS = {k: t for k, t in _HINTS.items() if issubclass(t, Enum)}
 
 
-def _coerce(key: str, raw: Any, hint: Any) -> Any:
-    if key in _ENUM_FIELDS:
-        enum_cls = _ENUM_FIELDS[key]
-        if isinstance(raw, enum_cls):
+def _coerce(key: str, raw: Any, hint: type) -> Any:
+    if issubclass(hint, Enum):
+        if isinstance(raw, hint):
             return raw
         try:
-            return enum_cls(str(raw).strip())
+            return hint(str(raw).strip())
         except ValueError:
             # accept enum names case-insensitively ("MCU", "mcu", "Lightweight")
             text = str(raw).strip()
-            for member in enum_cls:
+            for member in hint:
                 if text.lower() in (member.value.lower(), member.name.lower()):
                     return member
             raise ConfigError(
-                f"{key}: {raw!r} not one of {[m.value for m in enum_cls]}"
+                f"{key}: {raw!r} not one of {[m.value for m in hint]}"
             ) from None
-    if key in _BOOL_FIELDS:
+    if hint is bool:
         if isinstance(raw, bool):
             return raw
         word = str(raw).strip().lower()
         if word not in _BOOL_WORDS:
             raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
         return _BOOL_WORDS[word]
-    if key in _INT_FIELDS:
+    if hint is int:
         try:
             return int(str(raw).strip())
         except ValueError:

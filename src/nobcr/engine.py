@@ -90,7 +90,7 @@ class Simulation:
     ):
         config.validate()
         self.config = config
-        self.log = log if log is not None else (SimLog() if config.log_events else None)
+        self.log = log
         self.metrics = Metrics(config.n_nodes)
         self._heap: list = []
         self._seq = 0

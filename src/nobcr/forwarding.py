@@ -1,10 +1,11 @@
 """Forwarder election: partial-dominant-pruning cover targets + greedy cover.
 
 A relaying node v picks, among its own neighbours, a minimal set whose
-neighbourhoods cover the 2-hop nodes not already taken care of by previous
-hops.  The single previous hop variant subtracts what the previous hop u and
-its election already cover; the multi-previous-hop variant subtracts the
-union over every hop that was heard transmitting the packet.
+neighbourhoods cover the 2-hop nodes not already taken care of by the hops
+heard transmitting the packet.  There is one rule, applied to a hop set:
+the multi-previous-hop variant passes every hop heard, classic partial
+dominant pruning (PDP) is the same rule over the single first hop, and a
+source's election is the rule over no hop at all.
 """
 from __future__ import annotations
 
@@ -19,35 +20,17 @@ class CoverProblem(NamedTuple):
     candidates: dict[int, NodeSet]  # candidate relay -> the universe part it covers
 
 
-def pdp_cover_target(view: NeighborView, prev_hop: int) -> NodeSet:
-    """2-hop nodes still uncovered after hop u's transmission and election.
+def cover_target(view: NeighborView, hops: NodeSet) -> NodeSet:
+    """2-hop nodes still uncovered after every hop in ``hops`` transmitted and
+    elected its own relays.
 
-    U(v) = N(N(v)) - N(v) - N(u) - N(N(u) & N(v)), minus v and u themselves.
-    If u's advertised set is unknown only u itself can be discounted.
-    """
-    v = view.owner
-    target = two_hop_set(view) & ~view.one_hop & ~bit(v) & ~bit(prev_hop)
-    n_u = view.neigh_of.get(prev_hop)
-    if n_u is None:
-        return target
-    target &= ~n_u
-    for x in members(n_u & view.one_hop):
-        target &= ~view.neighbors_of(x)
-    return target
-
-
-def multiprev_cover_target(view: NeighborView, prev_hops: NodeSet) -> NodeSet:
-    """Cover target discounting every previous hop heard transmitting.
-
-    U(v) = N(N(v)) - N(v) - U_i N(i) - U_i N(N(i) & N(v)) over i in prev_hops,
+    U(v) = N(N(v)) - N(v) - U_i N(i) - U_i N(N(i) & N(v)) over i in hops,
     minus v and the hops themselves.  Hops with unknown advertised sets only
-    remove themselves.
+    remove themselves; with no hop this is the full 2-hop fringe.
     """
-    if not prev_hops:
-        raise ValueError("multiprev_cover_target requires at least one previous hop")
     v = view.owner
-    target = two_hop_set(view) & ~view.one_hop & ~bit(v) & ~prev_hops
-    for i in members(prev_hops):
+    target = two_hop_set(view) & ~view.one_hop & ~bit(v) & ~hops
+    for i in members(hops):
         n_i = view.neigh_of.get(i)
         if n_i is None:
             continue
@@ -80,20 +63,17 @@ def greedy_set_cover(problem: CoverProblem) -> tuple[NodeSet, NodeSet]:
     return picked, uncovered
 
 
-def build_problem(
-    view: NeighborView, prev_hops: NodeSet, mode: Pruning, first_hop: int
-) -> CoverProblem:
-    """Cover problem for relaying a packet previously heard from prev_hops."""
-    if mode is Pruning.PDP:
-        universe = pdp_cover_target(view, first_hop)
-        discount = view.neigh_of.get(first_hop, 0)
-    else:
-        universe = multiprev_cover_target(view, prev_hops)
-        discount = 0
-        for i in members(prev_hops):
-            discount |= view.neigh_of.get(i, 0)
-    v = view.owner
-    pool = view.one_hop & ~discount & ~prev_hops & ~bit(v)
+def build_problem(view: NeighborView, hops: NodeSet, heard: NodeSet) -> CoverProblem:
+    """Cover problem for relaying a packet pruned against ``hops``.
+
+    Candidates are the 1-hop neighbours outside the hops' advertised sets,
+    excluding every hop ``heard`` transmitting the packet.
+    """
+    universe = cover_target(view, hops)
+    discount = 0
+    for i in members(hops):
+        discount |= view.neigh_of.get(i, 0)
+    pool = view.one_hop & ~discount & ~heard & ~bit(view.owner)
     candidates = {
         c: view.neighbors_of(c) & universe for c in members(pool)
     }
@@ -105,18 +85,15 @@ def elect_forwarders(
 ) -> tuple[NodeSet, NodeSet]:
     """Pick relays for a packet this node is about to transmit.
 
-    ``first_hop`` is the hop the packet was first received from, used by the
-    PDP variant; the multi-previous variant uses all of ``prev_hops``.
+    PDP prunes against ``first_hop``, the hop the packet was first received
+    from; the multi-previous variant against all of ``prev_hops``.
     Returns (forwarders, uncovered).
     """
-    problem = build_problem(view, prev_hops, mode, first_hop)
-    return greedy_set_cover(problem)
+    hops = bit(first_hop) if mode is Pruning.PDP else prev_hops
+    return greedy_set_cover(build_problem(view, hops, prev_hops))
 
 
 def elect_source_forwarders(view: NeighborView) -> tuple[NodeSet, NodeSet]:
     """Forwarder election for a node originating a packet: cover the full
     2-hop fringe with any of the 1-hop neighbours."""
-    v = view.owner
-    universe = two_hop_set(view) & ~view.one_hop & ~bit(v)
-    candidates = {c: view.neighbors_of(c) & universe for c in members(view.one_hop)}
-    return greedy_set_cover(CoverProblem(universe, candidates))
+    return greedy_set_cover(build_problem(view, 0, 0))

@@ -10,7 +10,7 @@ from scipy import stats
 
 from .config import ScenarioConfig
 from .engine import Simulation
-from .presets import PRESETS, VARIANTS, ExperimentSpec
+from .presets import VARIANTS, ExperimentSpec
 
 RAW_SCHEMA = "#schema=nobcr-raw-1"
 AGG_SCHEMA = "#schema=nobcr-agg-1"
@@ -186,8 +186,18 @@ def write_delay_cdfs(rows: list[dict], out_dir: Path) -> None:
             writer.writerow([_fmt(delays[-1]), "1"])
 
 
+def write_outputs(rows: list[dict], out_dir: str | Path, stem: str) -> None:
+    """Write ``<stem>_raw.csv``, ``<stem>_agg.csv`` and the delay CDFs."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_raw_csv(rows, out / f"{stem}_raw.csv")
+    write_agg_csv(aggregate(rows), out / f"{stem}_agg.csv")
+    write_delay_cdfs(rows, out)
+
+
 def run_experiment(
-    name: str,
+    spec: ExperimentSpec,
+    stem: str,
     desk: bool = False,
     seeds=None,
     variants=None,
@@ -195,17 +205,10 @@ def run_experiment(
     jobs: int = 1,
     overrides: dict | None = None,
 ) -> list[dict]:
-    spec = PRESETS.get(name)
-    if spec is None:
-        raise ValueError(f"unknown experiment {name!r}; have {sorted(PRESETS)}")
+    """Run every task of ``spec`` and write its outputs under ``stem``."""
     tasks = build_tasks(spec, desk, seeds=seeds, variants=variants, overrides=overrides)
     rows = run_tasks(tasks, jobs=jobs)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    suffix = "desk" if desk else "full"
-    write_raw_csv(rows, out / f"{name}_{suffix}_raw.csv")
-    write_agg_csv(aggregate(rows), out / f"{name}_{suffix}_agg.csv")
-    write_delay_cdfs(rows, out)
+    write_outputs(rows, out_dir, stem)
     return rows
 
 

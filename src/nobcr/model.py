@@ -55,6 +55,10 @@ class ConstituentHeader:
     gratis: bool
     origin_time: float  # creation time at the source, drives the delay metric
 
+    def __str__(self) -> str:
+        """Event-log form: the packet id, starred when carried gratis."""
+        return f"{self.pid}*" if self.gratis else str(self.pid)
+
 
 @dataclass(slots=True)
 class Packet:
@@ -68,14 +72,6 @@ class Packet:
     @property
     def encoded(self) -> bool:
         return len(self.constituents) > 1
-
-
-@dataclass(slots=True)
-class HelloMsg:
-    """Periodic 1-hop beacon advertising the sender's current neighbour set."""
-
-    sender: int
-    one_hop: NodeSet
 
 
 @dataclass(slots=True)

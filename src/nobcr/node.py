@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import coding
-from .coding import PacketPool, PlanItem, QueuedLike, ReceptionTable, TtlSet
+from .coding import OutEntry, PacketPool, PlanItem, ReceptionTable, TtlSet
 from .config import Coding, ScenarioConfig, Termination
 from .forwarding import elect_forwarders, elect_source_forwarders
 from .model import ConstituentHeader, NeighborView, Packet, PacketId, bit
@@ -39,15 +39,6 @@ class SchedulePoolEvict:
 
 
 Action = Transmit | ScheduleRad | SchedulePoolEvict
-
-
-@dataclass(slots=True)
-class OutEntry:
-    pid: PacketId
-    deadline: float
-    gratis: bool
-    seq: int
-    token: int
 
 
 @dataclass(slots=True)
@@ -101,8 +92,11 @@ class Node:
 
     # -- helpers -----------------------------------------------------------
 
-    def _logev(self, now: float, kind: str, detail: str = "") -> None:
+    def _logev(self, now: float, kind: str, *parts) -> None:
+        """Log an event when a log is attached.  The detail is formatted only
+        then: ``parts`` joined by spaces, floats to the millisecond."""
         if self.log is not None:
+            detail = " ".join(f"{p:.3f}" if isinstance(p, float) else str(p) for p in parts)
             self.log.add(now, self.id, kind, detail)
 
     def _known_of(self, now: float) -> Callable[[PacketId], int]:
@@ -118,10 +112,9 @@ class Node:
         return known
 
     def _detect(self, seed: PlanItem, now: float, allow_gratis_pair: bool) -> list[PlanItem]:
-        queue = [QueuedLike(e.pid, e.deadline, e.seq, e.gratis) for e in self.queue.values()]
         return coding.detect_coding(
             seed,
-            queue,
+            self.queue.values(),
             self.view,
             self._known_of(now),
             include_gratis=self._cr,
@@ -135,7 +128,7 @@ class Node:
         entry = OutEntry(pid, now + delay, gratis, self._seq, self._next_token)
         self.queue[pid] = entry
         actions.append(ScheduleRad(pid, entry.token, entry.deadline))
-        self._logev(now, "buffer-gratis" if gratis else "buffer", f"{pid} until {entry.deadline:.3f}")
+        self._logev(now, "buffer-gratis" if gratis else "buffer", pid, "until", entry.deadline)
 
     def _transmit_plan(self, plan: list[PlanItem], now: float, actions: list[Action]) -> None:
         headers = []
@@ -169,7 +162,7 @@ class Node:
             for item in plan:
                 self.table.mark(item.pid, self.view.one_hop, now)
         self.metrics.on_data_tx(n_constituents=len(plan), with_gratis=any_gratis)
-        self._logev(now, "tx", " ".join(f"{h.pid}{'*' if h.gratis else ''}" for h in headers))
+        self._logev(now, "tx", *headers)
         actions.append(Transmit(pkt))
 
     # -- events ------------------------------------------------------------
@@ -191,7 +184,7 @@ class Node:
 
         result = coding.decode(pkt, self.pool)
         if not result.ok:
-            self._logev(now, "decode-defer", " ".join(str(p) for p in result.missing))
+            self._logev(now, "decode-defer", *result.missing)
             for c in pkt.constituents:
                 if c.pid in self.pool:
                     self.pool.record_copy(c.pid, pkt.tx_node, now)
@@ -248,13 +241,13 @@ class Node:
         # its neighbour marks have expired (its known weakness under load).
         decision = self.term.check(c.pid, now, self.view)
         if decision is Decision.DROP:
-            self._logev(now, "drop-term", str(c.pid))
+            self._logev(now, "drop-term", c.pid)
             return
         is_forwarder = self.config.blind_flood or bool((c.forwarders >> self.id) & 1)
         if is_forwarder:
             queued = self.queue.get(c.pid)
             if queued is not None and not queued.gratis:
-                self._logev(now, "dup-queued", str(c.pid))
+                self._logev(now, "dup-queued", c.pid)
                 return
             if self.config.coding is not Coding.NONE:
                 plan = self._detect(PlanItem(c.pid, False), now, allow_gratis_pair=False)
@@ -264,18 +257,14 @@ class Node:
             # buffer natively; an existing gratis entry is promoted
             self._buffer(c.pid, now, gratis=False, actions=actions)
             if queued is not None:
-                self._logev(now, "promote", str(c.pid))
+                self._logev(now, "promote", c.pid)
         elif self._cr:
             if c.pid in self.queue:
-                self._logev(now, "gratis-already-queued", str(c.pid))
+                self._logev(now, "gratis-already-queued", c.pid)
                 return
-            if coding.mark_gratis(entry, self.view, is_forwarder=False):
-                self.metrics.gratis_buffered += 1
-                self._buffer(c.pid, now, gratis=True, actions=actions)
-            else:
-                self._logev(now, "gratis-nomark", str(c.pid))
+            self._buffer_gratis(entry, now, actions)
         else:
-            self._logev(now, "drop-notfwd", str(c.pid))
+            self._logev(now, "drop-notfwd", c.pid)
 
     def _on_gratis_arrival(
         self, pid: PacketId, entry, was_new: bool, now: float, actions: list[Action]
@@ -283,19 +272,23 @@ class Node:
         """Gratis receiving rule: a gratis copy never touches termination
         state, so a later native copy still gets a fresh relay decision."""
         if not was_new or self.gratis_seen.contains(pid, now):
-            self._logev(now, "gratis-dup", str(pid))
+            self._logev(now, "gratis-dup", pid)
             return
         self.gratis_seen.add(pid, now)
         if not self._cr:
-            self._logev(now, "gratis-ignored", str(pid))
+            self._logev(now, "gratis-ignored", pid)
             return
-        if pid in self.queue:
-            return
-        if coding.mark_gratis(entry, self.view, is_forwarder=False):
+        if pid not in self.queue:
+            self._buffer_gratis(entry, now, actions)
+
+    def _buffer_gratis(self, entry, now: float, actions: list[Action]) -> None:
+        """Buffer a packet this node was not elected to relay as a gratis
+        candidate, if some neighbour is still estimated to miss it."""
+        if coding.mark_gratis(entry, self.view):
             self.metrics.gratis_buffered += 1
-            self._buffer(pid, now, gratis=True, actions=actions)
+            self._buffer(entry.pid, now, gratis=True, actions=actions)
         else:
-            self._logev(now, "gratis-nomark", str(pid))
+            self._logev(now, "gratis-nomark", entry.pid)
 
     def _resolve_bank(self, now: float, actions: list[Action]) -> None:
         """Retry banked encoded packets against the current pool.
@@ -327,7 +320,7 @@ class Node:
                             entry = self.pool.get(c.pid)
                             assert entry is not None
                             payload ^= entry.payload
-                    self._logev(now, "decode-late", str(missing[0].pid))
+                    self._logev(now, "decode-late", missing[0].pid)
                     self.metrics.decode_late += 1
                     self._process_constituent(missing[0], payload, banked.tx_node, now, actions)
                 break
@@ -338,9 +331,7 @@ class Node:
         for banked in self.bank:
             if banked.expiry <= now:
                 self.metrics.decode_failures += 1
-                self._logev(
-                    now, "decode-fail", " ".join(str(c.pid) for c in banked.constituents)
-                )
+                self._logev(now, "decode-fail", *(c.pid for c in banked.constituents))
             else:
                 kept.append(banked)
         self.bank = kept
@@ -357,16 +348,16 @@ class Node:
                 self._transmit_plan(plan, now, actions)
             else:
                 self.metrics.gratis_dropped += 1
-                self._logev(now, "gratis-expire-drop", str(pid))
+                self._logev(now, "gratis-expire-drop", pid)
             return actions
         if self.config.termination is Termination.MU:
             # marks may have accumulated while the packet sat in the buffer
             if self.term.check(pid, now, self.view) is Decision.DROP:
-                self._logev(now, "drop-term-late", str(pid))
+                self._logev(now, "drop-term-late", pid)
                 return actions
         elif self.term.stale_at_expiry(pid):
             # a newer sequence number overtook this packet during assessment
-            self._logev(now, "drop-term-late", str(pid))
+            self._logev(now, "drop-term-late", pid)
             return actions
         if self.config.coding is Coding.NONE:
             plan = [PlanItem(pid, False)]
@@ -390,7 +381,7 @@ class Node:
         if self.config.termination in (Termination.MCU, Termination.CU):
             self.term.check(pid, now, self.view)  # register own packet
         self.metrics.on_generated()
-        self._logev(now, "gen", str(pid))
+        self._logev(now, "gen", pid)
         self._transmit_plan([PlanItem(pid, False)], now, actions)
         return actions
 
@@ -398,7 +389,7 @@ class Node:
         if self.pool.evict(pid, token):
             dropped = self.queue.pop(pid, None)
             if dropped is not None:
-                self._logev(now, "evict-queued", str(pid))
+                self._logev(now, "evict-queued", pid)
                 if dropped.gratis:
                     self.metrics.gratis_dropped += 1
 

@@ -99,20 +99,16 @@ class ClassicPerSource:
     sn_last: int = 0
 
 
-def classic_check(
-    p: PacketId, s: ClassicPerSource, mode: Termination, did_forward: bool = False
-) -> Decision:
+def classic_check(p: PacketId, s: ClassicPerSource, mode: Termination) -> Decision:
     """Relay iff p.sn exceeds the stored value.
 
-    C/U stores every larger reception immediately; R/U stores only when the
-    caller reports the packet was actually forwarded (``did_forward``).  With
-    a relay queue in front of the radio, callers should pass False here and
-    report transmissions via :meth:`RuCuState.note_forwarded` instead.
+    C/U stores every larger reception immediately.  R/U stores only actual
+    forwards, which the node reports via :meth:`TerminationState.note_forwarded`
+    once the packet leaves its relay queue.
     """
     eligible = p.sn > s.sn_last
-    if eligible:
-        if mode is Termination.CU or (mode is Termination.RU and did_forward):
-            s.sn_last = p.sn
+    if eligible and mode is Termination.CU:
+        s.sn_last = p.sn
     return Decision.RELAY_ELIGIBLE if eligible else Decision.DROP
 
 

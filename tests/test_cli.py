@@ -63,7 +63,17 @@ class TestRunCommand:
         raw = read_rows(tmp_path / "mine_raw.csv")
         assert len(raw) == 2
         assert {r["variant"] for r in raw} == {"nobcr"}
+        assert {r["sweep"] for r in raw} == {"-"}
+        assert (tmp_path / "mine_agg.csv").exists()
+        assert (tmp_path / "delay_cdf_nobcr_-.csv").exists()
         assert "mine: 2 runs written" in capsys.readouterr().out
+
+    def test_config_file_seed_is_the_default(self, tmp_path):
+        cfg = tmp_path / "seeded.cfg"
+        cfg.write_text("n_nodes = 6\narea_side = 300\nsim_duration = 5\nn_sources = 1\nseed = 7\n")
+        assert main(["run", str(cfg), "--variant", "pdp-cu", "--out", str(tmp_path)]) == 0
+        raw = read_rows(tmp_path / "seeded_raw.csv")
+        assert [(r["variant"], r["seed"]) for r in raw] == [("pdp-cu", "7")]
 
     def test_unknown_target_exits_2(self, tmp_path, capsys):
         rc = main(["run", "no-such-preset", "--out", str(tmp_path)])

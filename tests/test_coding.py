@@ -4,9 +4,9 @@ import random
 import pytest
 
 from nobcr.coding import (
+    OutEntry,
     PacketPool,
     PlanItem,
-    QueuedLike,
     ReceptionTable,
     TtlSet,
     decode,
@@ -24,6 +24,10 @@ def pid(sn, source=0):
 
 def header(p, forwarders=0, gratis=False):
     return ConstituentHeader(pid=p, forwarders=forwarders, gratis=gratis, origin_time=0.0)
+
+
+def queued(p, deadline, seq, gratis):
+    return OutEntry(p, deadline, gratis, seq, token=0)
 
 
 # --------------------------------------------------------------------------
@@ -224,14 +228,14 @@ def _detect(one_hop, known, seed_pid, queue, include_gratis=True, allow_pair=Fal
 
 def test_detect_admits_complementary_pair():
     known = {pid(1): bit(1), pid(2): bit(2)}
-    queue = [QueuedLike(pid(2), deadline=1.0, seq=0, gratis=False)]
+    queue = [queued(pid(2), deadline=1.0, seq=0, gratis=False)]
     plan = _detect({1, 2}, known, pid(1), queue)
     assert [i.pid for i in plan] == [pid(1), pid(2)]
 
 
 def test_detect_rejects_when_someone_misses_two():
     known = {pid(1): bit(1), pid(2): bit(1)}  # node 2 misses both
-    queue = [QueuedLike(pid(2), deadline=1.0, seq=0, gratis=False)]
+    queue = [queued(pid(2), deadline=1.0, seq=0, gratis=False)]
     plan = _detect({1, 2}, known, pid(1), queue)
     assert len(plan) == 1
 
@@ -241,8 +245,8 @@ def test_detect_scans_by_deadline_then_seq():
     # expiring first must win the slot
     known = {pid(1): bit(1), pid(2): bit(2), pid(3): bit(2)}
     queue = [
-        QueuedLike(pid(3), deadline=2.0, seq=5, gratis=False),
-        QueuedLike(pid(2), deadline=1.0, seq=9, gratis=False),
+        queued(pid(3), deadline=2.0, seq=5, gratis=False),
+        queued(pid(2), deadline=1.0, seq=9, gratis=False),
     ]
     plan = _detect({1, 2}, known, pid(1), queue)
     assert [i.pid for i in plan] == [pid(1), pid(2)]
@@ -250,14 +254,14 @@ def test_detect_scans_by_deadline_then_seq():
 
 def test_detect_skips_seed_duplicate_in_queue():
     known = {pid(1): bit(1)}
-    queue = [QueuedLike(pid(1), deadline=1.0, seq=0, gratis=False)]
+    queue = [queued(pid(1), deadline=1.0, seq=0, gratis=False)]
     plan = _detect({1, 2}, known, pid(1), queue)
     assert len(plan) == 1
 
 
 def test_gratis_joins_only_established_plans():
     known = {pid(1): bit(1), pid(2): bit(2)}
-    queue = [QueuedLike(pid(2), deadline=1.0, seq=0, gratis=True)]
+    queue = [queued(pid(2), deadline=1.0, seq=0, gratis=True)]
     plan = _detect({1, 2}, known, pid(1), queue)
     assert len(plan) == 1  # a lone native cannot pair with gratis by default
     plan = _detect({1, 2}, known, pid(1), queue, allow_pair=True)
@@ -267,8 +271,8 @@ def test_gratis_joins_only_established_plans():
 def test_gratis_skipped_once_everyone_holds_it():
     known = {pid(1): bit(1), pid(2): bit(2), pid(3): from_ids({1, 2})}
     queue = [
-        QueuedLike(pid(2), deadline=1.0, seq=0, gratis=False),
-        QueuedLike(pid(3), deadline=2.0, seq=1, gratis=True),
+        queued(pid(2), deadline=1.0, seq=0, gratis=False),
+        queued(pid(3), deadline=2.0, seq=1, gratis=True),
     ]
     plan = _detect({1, 2}, known, pid(1), queue)
     # pid(3) is estimated at every neighbour: coding it adds risk, no gain
@@ -283,9 +287,9 @@ def test_native_scan_runs_before_gratis_scan():
         pid(4): bit(2),
     }
     queue = [
-        QueuedLike(pid(4), deadline=0.5, seq=0, gratis=True),
-        QueuedLike(pid(2), deadline=1.0, seq=1, gratis=False),
-        QueuedLike(pid(3), deadline=2.0, seq=2, gratis=True),
+        queued(pid(4), deadline=0.5, seq=0, gratis=True),
+        queued(pid(2), deadline=1.0, seq=1, gratis=False),
+        queued(pid(3), deadline=2.0, seq=2, gratis=True),
     ]
     plan = _detect({1, 2, 3}, known, pid(1), queue)
     # the native join happens first even though a gratis member expires
@@ -308,7 +312,7 @@ def test_detected_plans_always_decodable_everywhere():
         pids = [pid(i + 1, source=i % 3) for i in range(n_pkts)]
         known = {p: from_ids(s for s in one_hop if rng.random() < 0.6) for p in pids}
         queue = [
-            QueuedLike(p, rng.uniform(0, 3), seq, rng.random() < 0.3)
+            queued(p, rng.uniform(0, 3), seq, rng.random() < 0.3)
             for seq, p in enumerate(pids[1:], start=1)
         ]
         include_gratis = rng.random() < 0.7
@@ -335,8 +339,7 @@ def test_mark_gratis_rules():
     v.note_hello(2, 0, now=0.0, horizon=10.0)
     pool = PacketPool(lifetime=2.0)
     entry, _ = pool.record_copy(pid(1), 1, 0.0, payload=1, payload_len=4)
-    assert mark_gratis(entry, v, is_forwarder=False)  # node 2 not estimated
-    assert not mark_gratis(entry, v, is_forwarder=True)
+    assert mark_gratis(entry, v)  # node 2 not estimated
     # two mutually-neighbouring hops: their advertisements cover each other,
     # so every current neighbour is estimated to hold the packet
     v2 = NeighborView(owner=0)
@@ -345,4 +348,4 @@ def test_mark_gratis_rules():
     pool2 = PacketPool(2.0)
     entry2, _ = pool2.record_copy(pid(2), 1, 0.0, payload=1, payload_len=4)
     pool2.record_copy(pid(2), 2, 0.1)
-    assert not mark_gratis(entry2, v2, is_forwarder=False)
+    assert not mark_gratis(entry2, v2)

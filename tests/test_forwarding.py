@@ -7,11 +7,10 @@ from nobcr.config import Pruning
 from nobcr.forwarding import (
     CoverProblem,
     build_problem,
+    cover_target,
     elect_forwarders,
     elect_source_forwarders,
     greedy_set_cover,
-    multiprev_cover_target,
-    pdp_cover_target,
 )
 from nobcr.model import NeighborView, bit, card, from_ids, members
 
@@ -50,7 +49,7 @@ def test_chain_elects_the_next_hop():
     # 0 - 1 - 2 - 3; node 1 relays a packet received from 0
     adj = [{1}, {0, 2}, {1, 3}, {2}]
     v = converged_view(1, adj)
-    assert pdp_cover_target(v, prev_hop=0) == bit(3)
+    assert cover_target(v, bit(0)) == bit(3)
     fwd, uncovered = elect_forwarders(v, from_ids({0}), Pruning.PDP, first_hop=0)
     assert fwd == bit(2) and uncovered == 0
 
@@ -58,7 +57,7 @@ def test_chain_elects_the_next_hop():
 def test_clique_needs_no_forwarders():
     adj = [{1, 2, 3}, {0, 2, 3}, {0, 1, 3}, {0, 1, 2}]
     v = converged_view(1, adj)
-    assert pdp_cover_target(v, prev_hop=0) == 0
+    assert cover_target(v, bit(0)) == 0
     fwd, uncovered = elect_forwarders(v, from_ids({0}), Pruning.PDP, first_hop=0)
     assert fwd == 0 and uncovered == 0
 
@@ -68,14 +67,18 @@ def test_unknown_prev_hop_discounts_only_itself():
     v = NeighborView(owner=1)
     v.note_hello(2, from_ids(adj[2]), now=0.0, horizon=1e9)
     # packet heard from 0 before any hello from it: N(0) is unknown
-    assert pdp_cover_target(v, prev_hop=0) == bit(3)
-    assert multiprev_cover_target(v, from_ids({0})) == bit(3)
+    assert cover_target(v, bit(0)) == bit(3)
 
 
-def test_multiprev_requires_a_hop():
-    v = converged_view(1, [{1}, {0, 2}, {1}])
-    with pytest.raises(ValueError):
-        multiprev_cover_target(v, 0)
+def test_no_hop_is_the_source_case():
+    # a source prunes against nothing: the whole 2-hop fringe is the target
+    # and every neighbour is a candidate
+    adj = [{1}, {0, 2, 3}, {1, 4}, {1}, {2}]
+    v = converged_view(1, adj)
+    assert cover_target(v, 0) == bit(4)
+    problem = build_problem(v, 0, 0)
+    assert set(problem.candidates) == {0, 2, 3}
+    assert greedy_set_cover(problem) == elect_source_forwarders(v) == (bit(2), 0)
 
 
 def test_second_hop_shrinks_target():
@@ -83,8 +86,8 @@ def test_second_hop_shrinks_target():
     # as well discounts 2's neighbourhood from what 1 still has to cover
     adj = [{1, 4}, {0, 2, 3}, {1, 5}, {1, 6}, {0}, {2}, {3}]
     v = converged_view(1, adj)
-    t_one = multiprev_cover_target(v, from_ids({0}))
-    t_two = multiprev_cover_target(v, from_ids({0, 2}))
+    t_one = cover_target(v, from_ids({0}))
+    t_two = cover_target(v, from_ids({0, 2}))
     assert t_one == from_ids({5, 6})  # 4 was already covered by hop 0
     assert t_two == bit(6)
     assert t_two & ~t_one == 0
@@ -123,11 +126,11 @@ def test_cover_targets_match_set_oracle(make_view):
             v = make_view(owner, adj)
         one_hop, neigh_of = _view_as_sets(v)
         prev = rng.choice(sorted(adj[owner]))
-        got = pdp_cover_target(v, prev)
+        got = cover_target(v, bit(prev))
         want = pdp_target_sets(owner, one_hop, neigh_of, prev)
         assert set(members(got)) == want
         hops = {prev} | set(rng.sample(sorted(adj[owner]), rng.randint(0, len(adj[owner]))))
-        got_m = multiprev_cover_target(v, from_ids(hops))
+        got_m = cover_target(v, from_ids(hops))
         want_m = multiprev_target_sets(owner, one_hop, neigh_of, hops)
         assert set(members(got_m)) == want_m
 
@@ -144,7 +147,7 @@ def test_multiprev_target_never_exceeds_pdp_target():
         u = rng.choice(sorted(adj[owner]))
         extra = rng.sample(sorted(adj[owner]), rng.randint(0, len(adj[owner])))
         hops = from_ids({u}) | from_ids(extra)
-        assert multiprev_cover_target(v, hops) & ~pdp_cover_target(v, u) == 0
+        assert cover_target(v, hops) & ~cover_target(v, bit(u)) == 0
 
 
 # --------------------------------------------------------------------------
@@ -210,10 +213,14 @@ def test_greedy_complete_and_within_logarithmic_bound():
 def test_candidate_pool_excludes_prev_hops_and_their_coverage():
     adj = [{1, 4}, {0, 2, 3}, {1, 5}, {1, 6}, {0}, {2}, {3}]
     v = converged_view(1, adj)
-    problem = build_problem(v, from_ids({0}), Pruning.PDP, first_hop=0)
+    problem = build_problem(v, bit(0), bit(0))
     # hop 0 itself and anything inside its advertised set are out
     assert set(problem.candidates) == {2, 3}
-    problem = build_problem(v, from_ids({0, 2}), Pruning.MULTIPREV, first_hop=0)
+    problem = build_problem(v, from_ids({0, 2}), from_ids({0, 2}))
+    assert set(problem.candidates) == {3}
+    # PDP prunes against the first hop only, but a later hop heard
+    # transmitting the packet still cannot be elected
+    problem = build_problem(v, bit(0), from_ids({0, 2}))
     assert set(problem.candidates) == {3}
 
 
@@ -229,11 +236,7 @@ def test_elected_forwarders_cover_what_they_claim():
         u = rng.choice(sorted(adj[owner]))
         for mode in (Pruning.PDP, Pruning.MULTIPREV):
             fwd, uncovered = elect_forwarders(v, from_ids({u}), mode, first_hop=u)
-            target = (
-                pdp_cover_target(v, u)
-                if mode is Pruning.PDP
-                else multiprev_cover_target(v, from_ids({u}))
-            )
+            target = cover_target(v, bit(u))
             covered = 0
             for f in members(fwd):
                 covered |= v.neighbors_of(f)

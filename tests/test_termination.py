@@ -145,12 +145,14 @@ def test_cu_stores_every_larger_reception():
 
 
 def test_ru_stores_only_on_forward():
-    s = ClassicPerSource()
-    assert classic_check(pid(3), s, Termination.RU) is RELAY
-    assert s.sn_last == 0  # eligible but nothing forwarded yet
-    assert classic_check(pid(3), s, Termination.RU, did_forward=True) is RELAY
-    assert s.sn_last == 3
-    assert classic_check(pid(2), s, Termination.RU) is DROP
+    st = TerminationState(mode=Termination.RU)
+    v = NeighborView(owner=9)
+    assert st.check(pid(3), 0.0, v) is RELAY
+    assert st.classic[0].sn_last == 0  # eligible but nothing forwarded yet
+    assert st.check(pid(3), 0.0, v) is RELAY
+    st.note_forwarded(pid(3))
+    assert st.classic[0].sn_last == 3
+    assert st.check(pid(2), 0.0, v) is DROP
 
 
 def test_cu_decision_stream_matches_running_max():
