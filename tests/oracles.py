@@ -171,6 +171,36 @@ def overlapping_pairs(intervals: list[tuple[float, float]]) -> set[int]:
     return hit
 
 
+class PerReceiverPruning:
+    """The engine's current collision rule, one reception list per receiver.
+
+    This documents what the engine does, not physics.  Each arrival at a
+    receiver first prunes the receptions there that ended by the arrival's
+    start, then flags itself and every remaining reception it strictly
+    overlaps.  Pruning by the newcomer's start assumes broadcasts arrive in
+    start order; one that arrives later but starts earlier misses the
+    receptions already pruned (``overlapping_pairs`` is the physical rule).
+    """
+
+    def __init__(self, n_nodes: int):
+        self.active: list[list[tuple[float, float, list[bool]]]] = [[] for _ in range(n_nodes)]
+
+    def add(self, t0: float, t1: float, receivers: set[int]) -> dict[int, list[bool]]:
+        """Register a broadcast; return each receiver's collision flag box."""
+        boxes = {}
+        for r in sorted(receivers):
+            box = [False]
+            live = [e for e in self.active[r] if e[1] > t0]
+            for e in live:
+                if e[0] < t1:
+                    e[2][0] = True
+                    box[0] = True
+            live.append((t0, t1, box))
+            self.active[r] = live
+            boxes[r] = box
+        return boxes
+
+
 def uniform_speed_time_average(vmin: float, vmax: float) -> float:
     """Time-averaged speed of legs drawn uniformly from [vmin, vmax].
 

@@ -3,13 +3,19 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nobcr.config import Coding, ScenarioConfig, Termination
-from nobcr.engine import Simulation, Waypoint, run_config, substream
+from nobcr.engine import OnAir, Simulation, Waypoint, run_config, substream
 from nobcr.metrics import SimLog
-from nobcr.model import bit, from_ids, members
+from nobcr.model import bit, from_ids, full_set, members
 
-from oracles import bfs_reachable, uniform_speed_time_average
+from oracles import (
+    PerReceiverPruning,
+    bfs_reachable,
+    overlapping_pairs,
+    uniform_speed_time_average,
+)
 
 
 def cfg(**kw):
@@ -92,6 +98,79 @@ def test_offset_transmissions_do_not_collide():
     m = sim.run()
     assert m.collision_losses == 0
     assert m.delivery_ratio() == 1.0
+
+
+class FixedDraw:
+    """Stands in for a MAC jitter stream: every draw returns ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def uniform(self, a, b):
+        return self.value
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a reception pruned at a receiver by a broadcast starting after its end "
+    "is missed by a broadcast handled later that starts earlier",
+)
+def test_out_of_start_order_overlap_collides():
+    # a star: 0, 1 and 2 each hear only hub 3; all three send at now=0, handled
+    # in id order, so B (node 1, +18 ms) is handled between A (+10 ms) and C (+11 ms)
+    star = [bit(3), bit(3), bit(3), bit(0) | bit(1) | bit(2)]
+    config = cfg(n_nodes=4, n_sources=3, collisions=True, mac_jitter=0.02, rad_max=0.0,
+                 pkt_size=984, sim_duration=5.0)
+    log = SimLog()
+    sim = Simulation(config, adjacency=star, injections=[(0.0, s, 1) for s in range(3)], log=log)
+    jitters = [0.010, 0.018, 0.011]
+    for sender, jitter in enumerate(jitters):
+        sim._mac_rngs[sender] = FixedDraw(jitter)
+    airtime = (config.pkt_size + 16) * 8.0 / config.bandwidth_bps
+    assert airtime == pytest.approx(0.004)
+    expected = overlapping_pairs([(j, j + airtime) for j in jitters])
+    assert expected == {0, 2}  # A and C overlap at the hub
+    m = sim.run()
+    lost_at_hub = [e[0] for e in log.filter(kind="rx-collision", node=3)]
+    assert lost_at_hub == pytest.approx(sorted(jitters[k] + airtime for k in expected))
+    assert m.collision_losses == len(expected)  # the hub then relays B alone
+
+
+def _airtime_values(low):
+    # whole numbers make equal ends and starts common; floats fill in between
+    return st.one_of(st.sampled_from([low, 1.0, 2.0]), st.floats(low, 3.0))
+
+
+@settings(deadline=None)
+@given(
+    n=st.integers(1, 12),
+    steps=st.lists(
+        st.tuples(_airtime_values(0.0), _airtime_values(0.0), _airtime_values(0.25),
+                  st.integers(0, (1 << 12) - 1)),
+        max_size=40,
+    ),
+)
+def test_on_air_flags_what_the_per_receiver_rule_flags(n, steps):
+    on_air = OnAir()
+    reference = PerReceiverPruning(n)
+    entries, boxes, read_at_end = [], [], {}
+    now = 0.0
+    for gap, jitter, duration, mask in steps:
+        now += gap
+        for k, e in enumerate(entries):
+            if e[1] <= now and k not in read_at_end:
+                read_at_end[k] = e[3]  # the engine reads the mask at t1
+        receivers = mask & full_set(n)
+        if not receivers:
+            continue  # the engine puts nothing on the air for a broadcast no one hears
+        t0 = now + jitter
+        t1 = t0 + duration
+        entries.append(on_air.start(now, t0, t1, receivers))
+        boxes.append(reference.add(t0, t1, set(members(receivers))))
+    flagged = {(k, r) for k, e in enumerate(entries) for r in members(e[3])}
+    expected = {(k, r) for k, box in enumerate(boxes) for r, flag in box.items() if flag[0]}
+    assert flagged == expected
+    assert all(entries[k][3] == mask for k, mask in read_at_end.items())
 
 
 def test_blind_flood_reaches_every_connected_node():
@@ -221,6 +300,48 @@ def test_waypoint_speed_matches_harmonic_average():
     measured = total / horizon
     expected = uniform_speed_time_average(2.0, 12.0)
     assert measured == pytest.approx(expected, rel=0.05)
+
+
+@settings(deadline=None)
+@given(
+    n=st.integers(1, 5),
+    seed=st.integers(0, 10_000),
+    speed_min=st.floats(0.1, 5.0),
+    speed_span=st.floats(0.0, 20.0),
+    pause=st.one_of(st.just(0.0), st.floats(0.1, 5.0)),
+    data=st.data(),
+)
+def test_leg_cache_positions_equal_waypoint_positions(n, seed, speed_min, speed_span, pause, data):
+    config = cfg(n_nodes=n, n_sources=0, area_side=400.0, seed=seed, mac_jitter=0.02,
+                 speed_min=speed_min, speed_max=speed_min + speed_span, pause_time=pause,
+                 mobility_warmup=5.0)
+    sim = Simulation(config)
+
+    def walkers():
+        return [
+            Waypoint(substream(seed, "mob", i), config.area_side, config.speed_min,
+                     config.speed_max, config.pause_time, -config.mobility_warmup)
+            for i in range(n)
+        ]
+
+    reference = walkers()  # queried exactly as the engine queried before its leg cache
+    boundaries = walkers()  # only read for leg starts and ends
+    t = 0.0
+    for _ in range(data.draw(st.integers(1, 40))):
+        step = data.draw(st.sampled_from(["forward", "back", "start", "end"]))
+        if step == "forward":  # often within one jitter, so a back step can cross a boundary
+            t += data.draw(st.one_of(st.floats(0.0, config.mac_jitter), st.floats(0.0, 4.0)))
+        elif step == "back":  # a relay's MAC jitter can place it before the last broadcast
+            t = max(0.0, t - data.draw(st.floats(0.0, config.mac_jitter)))
+        else:
+            walker = boundaries[data.draw(st.integers(0, n - 1))]
+            field = 0 if step == "start" else 1
+            while walker._legs[-1][field] < t:
+                walker.position(walker._legs[-1][1] + 1.0)
+            ahead = [leg[field] for leg in walker._legs if leg[field] >= t]
+            near = st.one_of(st.just(0.0), st.floats(-config.mac_jitter, config.mac_jitter))
+            t = max(0.0, data.draw(st.sampled_from(ahead[:3])) + data.draw(near))
+        assert sim._positions(t) == [w.position(t) for w in reference]
 
 
 def test_pause_time_freezes_the_walker():
