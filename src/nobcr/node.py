@@ -343,7 +343,11 @@ class Node:
         del self.queue[pid]
         actions: list[Action] = []
         if entry.gratis:
-            plan = self._detect(PlanItem(pid, True), now, allow_gratis_pair=False)
+            # A gratis packet goes out only coded with a native one: with no
+            # native queued, detection could return nothing but the seed.
+            plan = []
+            if any(not q.gratis for q in self.queue.values()):
+                plan = self._detect(PlanItem(pid, True), now, allow_gratis_pair=False)
             if len(plan) >= 2 and any(not item.gratis for item in plan):
                 self._transmit_plan(plan, now, actions)
             else:

@@ -1,4 +1,6 @@
 """Packet pool accounting, holder estimation, XOR plan detection and codec."""
+import copy
+import dataclasses
 import random
 
 import pytest
@@ -151,6 +153,31 @@ def test_reception_table_marks_and_expires():
     assert t.item_count(now=5.5) == 1
     t.prune(now=7.5)
     assert t.item_count(now=7.5) == 0
+
+
+def test_holder_estimates_leave_their_inputs_unchanged():
+    # a gratis RAD expiry with no native queued skips plan detection; that is
+    # exact only because estimating holders writes to nothing it reads
+    v = NeighborView(owner=0)
+    v.note_hello(1, from_ids({0, 2}), now=0.0, horizon=10.0)
+    v.note_hello(3, from_ids({0, 4}), now=0.0, horizon=10.0)
+    pool = PacketPool(lifetime=2.0)
+    entry, _ = pool.record_copy(pid(1), 1, 0.0, payload=1, payload_len=4)
+    pool.record_copy(pid(1), 7, 0.1)  # a hop the view does not know
+    pool.record_copy(pid(1), 0, 0.2)  # the owner itself
+    before = dataclasses.asdict(entry), dataclasses.asdict(v)
+    assert receivers_of(entry, v) == from_ids({0, 1, 2, 3, 7})
+    assert (dataclasses.asdict(entry), dataclasses.asdict(v)) == before
+
+    t = ReceptionTable(ttl=5.0)
+    t.mark(pid(1), from_ids({2, 3}), now=0.0)
+    t.mark(pid(1), bit(4), now=3.0)
+    t.mark(pid(2), bit(5), now=0.0)
+    before = copy.deepcopy(t._holders)
+    for now in (0.0, 4.0, 6.0, 9.0):  # before, between and after the expiries
+        for p in (pid(1), pid(2), pid(3)):
+            t.holders(p, now)
+    assert t._holders == before
 
 
 # --------------------------------------------------------------------------

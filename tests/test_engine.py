@@ -101,13 +101,14 @@ def test_offset_transmissions_do_not_collide():
 
 
 class FixedDraw:
-    """Stands in for a MAC jitter stream: every draw returns ``value``."""
+    """Stands in for a MAC jitter stream: draws return ``values`` in turn,
+    then repeat the last one."""
 
-    def __init__(self, value):
-        self.value = value
+    def __init__(self, *values):
+        self.values = list(values)
 
     def uniform(self, a, b):
-        return self.value
+        return self.values.pop(0) if len(self.values) > 1 else self.values[0]
 
 
 @pytest.mark.xfail(
@@ -134,6 +135,35 @@ def test_out_of_start_order_overlap_collides():
     lost_at_hub = [e[0] for e in log.filter(kind="rx-collision", node=3)]
     assert lost_at_hub == pytest.approx(sorted(jitters[k] + airtime for k in expected))
     assert m.collision_losses == len(expected)  # the hub then relays B alone
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="each send starts at now plus a fresh MAC jitter whatever the sender "
+    "still has on the air, so one node's back-to-back relays can overlap",
+)
+def test_one_sender_never_overlaps_itself():
+    # chain 0-1-2: node 0 sends two packets 2 ms apart and node 1 relays each as
+    # it arrives, the first after 2.5 ms of MAC jitter and the second at once
+    path = [bit(1), bit(0) | bit(2), bit(1)]
+    config = cfg(n_nodes=3, collisions=True, mac_jitter=0.02, rad_max=0.0, sim_duration=5.0)
+    sim = Simulation(config, adjacency=path, injections=[(1.0, 0, 1), (1.002, 0, 2)])
+    sim._mac_rngs[0] = FixedDraw(0.0)
+    sim._mac_rngs[1] = FixedDraw(0.0025, 0.0)
+    airtime = (config.pkt_size + 16) * 8.0 / config.bandwidth_bps
+    sends = []  # (sender, t0, t1) of every data broadcast
+    receiver_mask = sim._receiver_mask
+
+    def recording_mask(sender, t0):
+        sends.append((sender, t0, t0 + airtime))
+        return receiver_mask(sender, t0)
+
+    sim._receiver_mask = recording_mask
+    sim.run()
+    assert sorted(s for s, _, _ in sends) == [0, 0, 1, 1]
+    for u in (0, 1):
+        own = sorted((t0, t1) for s, t0, t1 in sends if s == u)
+        assert all(end <= start for (_, end), (start, _) in zip(own, own[1:])), (u, own)
 
 
 def _airtime_values(low):

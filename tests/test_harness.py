@@ -1,10 +1,15 @@
 """Batch runner: task expansion, ordering, CSV formats, aggregation math."""
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from scipy import stats
 
+import nobcr
 from nobcr.config import ConfigError
 from nobcr.harness import (
     _METRIC_COLUMNS,
@@ -15,6 +20,7 @@ from nobcr.harness import (
     read_rows,
     run_one,
     run_tasks,
+    t_quantile,
     transmission_reduction,
     write_agg_csv,
     write_delay_cdfs,
@@ -134,6 +140,53 @@ class TestMeanCi:
     def test_constant_samples(self):
         mean, half = mean_ci([3.0, 3.0, 3.0])
         assert (mean, half) == (3.0, 0.0)
+
+    def test_quantile_is_computed_once_per_level_and_df(self):
+        t_quantile.cache_clear()
+        first = mean_ci([1.0, 2.0, 4.0], level=0.9)
+        misses = t_quantile.cache_info().misses
+        assert mean_ci([1.0, 2.0, 4.0], level=0.9) == first
+        info = t_quantile.cache_info()
+        assert (info.hits, info.misses) == (1, misses)
+
+
+class TestTQuantile:
+    @pytest.mark.parametrize("level", [0.90, 0.95, 0.99])
+    def test_matches_scipy(self, level):
+        q = 0.5 + level / 2
+        for df in range(1, 401):
+            assert t_quantile(q, df) == pytest.approx(stats.t.ppf(q, df), rel=1e-12, abs=0)
+
+    QS = [0.5, 0.55, 0.75, 0.9, 0.95, 0.975, 0.995, 0.9995]
+
+    @pytest.mark.parametrize("q", QS)
+    def test_cauchy_closed_form(self, q):
+        assert t_quantile(q, 1) == pytest.approx(math.tan(math.pi * (q - 0.5)), rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("q", QS)
+    def test_two_df_closed_form(self, q):
+        exact = (2 * q - 1) / math.sqrt(2 * q * (1 - q))
+        assert t_quantile(q, 2) == pytest.approx(exact, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("q, df", [(0.4, 3), (1.0, 3), (0.975, 0)])
+    def test_rejects_arguments_outside_its_domain(self, q, df):
+        with pytest.raises(ValueError):
+            t_quantile(q, df)
+
+
+def test_importing_the_package_loads_no_numeric_library():
+    # scipy.stats alone took ~1.4 s and ~78 MB of every fresh process; the
+    # runtime needs neither it nor numpy
+    src = Path(nobcr.__file__).resolve().parents[1]
+    code = (
+        "import nobcr.cli, nobcr.harness, sys; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def synth_row(variant, sweep, seed, **metrics):
