@@ -107,33 +107,6 @@ def receivers_of(entry: PoolEntry, view: NeighborView) -> NodeSet:
     return z
 
 
-class TtlSet:
-    """Set of packet ids with per-entry expiry (duplicate guard for gratis)."""
-
-    __slots__ = ("ttl", "_deadlines")
-
-    def __init__(self, ttl: float):
-        self.ttl = ttl
-        self._deadlines: dict[PacketId, float] = {}
-
-    def add(self, pid: PacketId, now: float) -> None:
-        self._deadlines[pid] = now + self.ttl
-
-    def contains(self, pid: PacketId, now: float) -> bool:
-        deadline = self._deadlines.get(pid)
-        if deadline is None:
-            return False
-        if deadline < now:
-            del self._deadlines[pid]
-            return False
-        return True
-
-    def prune(self, now: float) -> None:
-        stale = [pid for pid, d in self._deadlines.items() if d < now]
-        for pid in stale:
-            del self._deadlines[pid]
-
-
 class ReceptionTable:
     """Per-neighbour sets of packets believed held, populated by overhearing.
 

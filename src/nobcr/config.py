@@ -97,10 +97,12 @@ class ScenarioConfig:
             raise ConfigError("n_nodes must be >= 1")
         if self.n_sources < 0 or self.n_sources > self.n_nodes:
             raise ConfigError("n_sources must be in [0, n_nodes]")
-        for name in ("area_side", "sim_duration", "tx_range", "bandwidth_bps", "pkt_rate"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
         for name in (
+            "area_side",
+            "sim_duration",
+            "tx_range",
+            "bandwidth_bps",
+            "pkt_rate",
             "pkt_size",
             "hello_interval",
             "hello_expiry_factor",

@@ -110,14 +110,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write_csv(path: Path, schema: str, header: list[str], rows) -> None:
+    """Write the schema line, the header and each row of values, ``_fmt``-ed."""
+    with path.open("w", newline="") as fh:
+        fh.write(schema + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for values in rows:
+            writer.writerow([_fmt(v) for v in values])
+
+
 def write_raw_csv(rows: list[dict], path: Path) -> None:
     columns = _KEY_COLUMNS + _METRIC_COLUMNS
-    with path.open("w", newline="") as fh:
-        fh.write(RAW_SCHEMA + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in columns])
+    _write_csv(path, RAW_SCHEMA, columns, ([row[c] for c in columns] for row in rows))
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -242,12 +247,7 @@ def write_agg_csv(aggs: list[dict], path: Path) -> None:
     columns = ["experiment", "variant", "sweep", "n_seeds"]
     for metric in _METRIC_COLUMNS:
         columns += [f"{metric}_mean", f"{metric}_ci95"]
-    with path.open("w", newline="") as fh:
-        fh.write(AGG_SCHEMA + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for agg in aggs:
-            writer.writerow([_fmt(agg[c]) for c in columns])
+    _write_csv(path, AGG_SCHEMA, columns, ([agg[c] for c in columns] for agg in aggs))
 
 
 def write_delay_cdfs(rows: list[dict], out_dir: Path) -> None:
@@ -259,15 +259,11 @@ def write_delay_cdfs(rows: list[dict], out_dir: Path) -> None:
             continue
         delays.sort()
         n = len(delays)
+        step = max(1, n // 500)
+        points = [(delays[i], (i + 1) / n) for i in range(0, n, step)]
+        points.append((delays[-1], "1"))
         path = out_dir / f"delay_cdf_{variant}_{sweep}.csv"
-        with path.open("w", newline="") as fh:
-            fh.write("#schema=nobcr-delay-cdf-1\n")
-            writer = csv.writer(fh)
-            writer.writerow(["delay", "cdf"])
-            step = max(1, n // 500)
-            for i in range(0, n, step):
-                writer.writerow([_fmt(delays[i]), _fmt((i + 1) / n)])
-            writer.writerow([_fmt(delays[-1]), "1"])
+        _write_csv(path, "#schema=nobcr-delay-cdf-1", ["delay", "cdf"], points)
 
 
 def write_outputs(rows: list[dict], out_dir: str | Path, stem: str) -> None:

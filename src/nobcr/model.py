@@ -7,7 +7,7 @@ protocol hot paths (union/intersection/difference per reception) cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from typing import Hashable, Iterable, Iterator, NamedTuple
 
 NodeSet = int  # bitmask over node ids
 
@@ -44,6 +44,33 @@ def card(mask: NodeSet) -> int:
 class PacketId(NamedTuple):
     source: int
     sn: int  # per-source sequence number, starts at 1
+
+
+class TtlSet:
+    """Set of keys with per-entry expiry: a key is present until ``ttl``
+    seconds after it was last added.  :meth:`contains` only reads, so an
+    expired entry reads as absent until :meth:`prune` deletes it."""
+
+    __slots__ = ("ttl", "_deadlines")
+
+    def __init__(self, ttl: float):
+        self.ttl = ttl
+        self._deadlines: dict[Hashable, float] = {}
+
+    def add(self, key: Hashable, now: float) -> None:
+        self._deadlines[key] = now + self.ttl
+
+    def contains(self, key: Hashable, now: float) -> bool:
+        deadline = self._deadlines.get(key)
+        return deadline is not None and now <= deadline
+
+    def prune(self, now: float) -> None:
+        stale = [key for key, d in self._deadlines.items() if d < now]
+        for key in stale:
+            del self._deadlines[key]
+
+    def __len__(self) -> int:
+        return len(self._deadlines)
 
 
 @dataclass(slots=True)

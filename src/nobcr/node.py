@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import coding
-from .coding import OutEntry, PacketPool, PlanItem, ReceptionTable, TtlSet
-from .config import Coding, ScenarioConfig, Termination
+from .coding import OutEntry, PacketPool, PlanItem, ReceptionTable
+from .config import Coding, ScenarioConfig
 from .forwarding import elect_forwarders, elect_source_forwarders
-from .model import ConstituentHeader, NeighborView, Packet, PacketId, bit
+from .model import ConstituentHeader, NeighborView, Packet, PacketId, TtlSet, bit
 from .termination import Decision, TerminationState
 
 
@@ -50,9 +50,7 @@ class BankedPacket:
     and only written off as a decode failure when this deadline passes.
     """
 
-    constituents: tuple[ConstituentHeader, ...]
-    payload: int
-    tx_node: int
+    packet: Packet
     expiry: float
 
 
@@ -188,11 +186,9 @@ class Node:
             for c in pkt.constituents:
                 if c.pid in self.pool:
                     self.pool.record_copy(c.pid, pkt.tx_node, now)
-                    if not c.gratis and self.config.termination is Termination.MU:
+                    if not c.gratis:
                         self.term.observe_transmitter(pkt.tx_node, c.pid, now)
-            self.bank.append(
-                BankedPacket(pkt.constituents, pkt.payload, pkt.tx_node, now + self.pool.lifetime)
-            )
+            self.bank.append(BankedPacket(pkt, now + self.pool.lifetime))
             return actions
         for c in pkt.constituents:
             if c.pid == result.recovered_pid:
@@ -226,7 +222,7 @@ class Node:
             actions.append(SchedulePoolEvict(c.pid, entry.token, now + self.pool.lifetime))
             if c.pid.source != self.id:
                 self.metrics.on_delivery(self.id, c.pid, now - c.origin_time)
-        if not c.gratis and self.config.termination is Termination.MU:
+        if not c.gratis:
             self.term.observe_transmitter(tx_node, c.pid, now)
 
         if c.gratis and not self.config.gratis_rule_off:
@@ -303,26 +299,24 @@ class Node:
             for i, banked in enumerate(self.bank):
                 if banked.expiry <= now:
                     continue
-                missing = [c for c in banked.constituents if c.pid not in self.pool]
-                if len(missing) > 1:
+                pkt = banked.packet
+                result = coding.decode(pkt, self.pool)
+                if not result.ok:
                     continue
                 self.bank.pop(i)
                 progress = True
                 # constituents that arrived after the packet was banked still
                 # owe its transmitter a previous-hop credit
-                for c in banked.constituents:
+                for c in pkt.constituents:
                     if c.pid in self.pool:
-                        self.pool.record_copy(c.pid, banked.tx_node, now)
-                if missing:
-                    payload = banked.payload
-                    for c in banked.constituents:
-                        if c.pid != missing[0].pid:
-                            entry = self.pool.get(c.pid)
-                            assert entry is not None
-                            payload ^= entry.payload
-                    self._logev(now, "decode-late", missing[0].pid)
-                    self.metrics.decode_late += 1
-                    self._process_constituent(missing[0], payload, banked.tx_node, now, actions)
+                        self.pool.record_copy(c.pid, pkt.tx_node, now)
+                for c in pkt.constituents:
+                    if c.pid == result.recovered_pid:
+                        self._logev(now, "decode-late", c.pid)
+                        self.metrics.decode_late += 1
+                        self._process_constituent(
+                            c, result.recovered_payload, pkt.tx_node, now, actions
+                        )
                 break
 
     def flush_bank(self, now: float) -> None:
@@ -331,7 +325,7 @@ class Node:
         for banked in self.bank:
             if banked.expiry <= now:
                 self.metrics.decode_failures += 1
-                self._logev(now, "decode-fail", *(c.pid for c in banked.constituents))
+                self._logev(now, "decode-fail", *(c.pid for c in banked.packet.constituents))
             else:
                 kept.append(banked)
         self.bank = kept
@@ -354,13 +348,7 @@ class Node:
                 self.metrics.gratis_dropped += 1
                 self._logev(now, "gratis-expire-drop", pid)
             return actions
-        if self.config.termination is Termination.MU:
-            # marks may have accumulated while the packet sat in the buffer
-            if self.term.check(pid, now, self.view) is Decision.DROP:
-                self._logev(now, "drop-term-late", pid)
-                return actions
-        elif self.term.stale_at_expiry(pid):
-            # a newer sequence number overtook this packet during assessment
+        if self.term.stale_at_expiry(pid, now, self.view):
             self._logev(now, "drop-term-late", pid)
             return actions
         if self.config.coding is Coding.NONE:
@@ -382,8 +370,7 @@ class Node:
         )
         assert was_new, "source sequence numbers must not repeat"
         actions: list[Action] = [SchedulePoolEvict(pid, entry.token, now + self.pool.lifetime)]
-        if self.config.termination in (Termination.MCU, Termination.CU):
-            self.term.check(pid, now, self.view)  # register own packet
+        self.term.check(pid, now, self.view)  # register own packet
         self.metrics.on_generated()
         self._logev(now, "gen", pid)
         self._transmit_plan([PlanItem(pid, False)], now, actions)
@@ -411,8 +398,7 @@ class Node:
         self.gratis_seen.prune(now)
         if self.table is not None:
             self.table.prune(now)
-        if self.term.marks is not None:
-            self.term.marks.prune(now)
+        self.term.prune(now)
 
     def _hello_horizon(self) -> float:
         return self.config.hello_interval * self.config.hello_expiry_factor

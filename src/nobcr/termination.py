@@ -1,9 +1,33 @@
 """Termination criteria: when does a duplicate stop being worth relaying?
 
-Four interchangeable criteria are provided.  MC/U keeps a k-bit sliding
-window bitmap per source so out-of-order packets within the window are still
-recognised individually.  The classic criteria (M/U, R/U, C/U) reproduce the
-single-value bookkeeping whose failure modes MC/U was designed to avoid.
+Four interchangeable criteria are provided, and this module is the only one
+that tells them apart.  MC/U keeps a k-bit sliding window bitmap per source so
+out-of-order packets within the window are still recognised individually.  The
+classic criteria (M/U, R/U, C/U) reproduce the single-value bookkeeping whose
+failure modes MC/U was designed to avoid.
+
+MC/U window layout: a shift register.  Bit i of ``SourceWindow.bm`` is set
+when sequence number ``sn_max - i`` was received (0 <= i < k).  A new maximum
+shifts the register left by the gap and sets bit 0; bits shifted past k - 1
+have left the window.
+
+The node calls the same hooks of :class:`TerminationState` whatever the
+criterion; each criterion acts on the hooks it needs and ignores the rest:
+
+=========  =================================  ==============================
+criterion  state                              hooks that act
+=========  =================================  ==============================
+MC/U       ``windows``: one window a source   ``check`` records the SN
+C/U        ``sn_last``: one SN a source       ``check`` stores a larger SN;
+                                              ``stale_at_expiry``
+R/U        ``sn_last``: one SN a source       ``check`` only reads;
+                                              ``note_forwarded`` stores;
+                                              ``stale_at_expiry``
+M/U        ``marks``: (neighbour, packet)     ``check`` only reads;
+           pairs with expiry                  ``observe_transmitter`` marks;
+                                              ``stale_at_expiry`` re-checks;
+                                              ``prune`` expires marks
+=========  =================================  ==============================
 """
 from __future__ import annotations
 
@@ -12,7 +36,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .config import Termination
-from .model import NeighborView, NodeSet, PacketId, members
+from .model import NeighborView, NodeSet, PacketId, TtlSet, members
 
 
 class Decision(Enum):
@@ -20,143 +44,42 @@ class Decision(Enum):
     DROP = "drop"
 
 
-# --------------------------------------------------------------------------
-# MC/U: per-source sliding window bitmap
-# --------------------------------------------------------------------------
-
-
 @dataclass(slots=True)
 class SourceWindow:
     """Reception window for one source: k bits ending at the largest SN seen.
 
-    ``mindex`` is the bit position of ``sn_max``; the bit for sequence number
-    s (with sn_max-k < s <= sn_max) lives at (mindex + s - sn_max) mod k.
+    Bit i of ``bm`` stands for sequence number ``sn_max - i``.
     ``sn_max == 0`` means nothing has been seen yet (SNs start at 1).
     """
 
     k: int
     bm: int = 0
     sn_max: int = 0
-    mindex: int = 0
-
-
-def _clear_range(bm: int, lo: int, hi: int) -> int:
-    """Clear bits lo..hi inclusive; no-op when lo > hi."""
-    if lo > hi:
-        return bm
-    span = ((1 << (hi - lo + 1)) - 1) << lo
-    return bm & ~span
-
-
-def mcu_update(p: PacketId, w: SourceWindow) -> None:
-    """Advance the window to a new largest SN, clearing bits that now map to
-    sequence numbers never received.
-
-    Precondition: p.sn > w.sn_max.
-    """
-    if p.sn <= w.sn_max:
-        raise ValueError("mcu_update requires p.sn > sn_max")
-    k = w.k
-    shifted = w.mindex + (p.sn - w.sn_max)
-    new_mindex = shifted % k
-    rollover = shifted // k
-    if rollover == 0:
-        w.bm = _clear_range(w.bm, w.mindex + 1, new_mindex - 1)
-    elif rollover == 1:
-        w.bm = _clear_range(w.bm, w.mindex + 1, k - 1)
-        w.bm = _clear_range(w.bm, 0, new_mindex - 1)
-    else:
-        w.bm = 0
-    w.mindex = new_mindex
-    w.sn_max = p.sn
-    w.bm |= 1 << new_mindex
 
 
 def mcu_relay_or_not(p: PacketId, w: SourceWindow) -> Decision:
     """Single reception decision against the window; mutates w on first sight."""
-    if p.sn > w.sn_max:
-        mcu_update(p, w)
+    gap = p.sn - w.sn_max
+    if gap > 0:
+        # a gap of k or more leaves nothing of the old window
+        w.bm = ((w.bm << gap) | 1) & ((1 << w.k) - 1) if gap < w.k else 1
+        w.sn_max = p.sn
         return Decision.RELAY_ELIGIBLE
-    if p.sn <= w.sn_max - w.k:
+    if -gap >= w.k:
         return Decision.DROP  # too old: fell out of the window
-    index = p.sn - w.sn_max + w.mindex
-    if index < 0:
-        index += w.k
-    mask = 1 << index
+    mask = 1 << -gap
     if w.bm & mask:
         return Decision.DROP
     w.bm |= mask
     return Decision.RELAY_ELIGIBLE
 
 
-# --------------------------------------------------------------------------
-# R/U and C/U: one sequence number per source
-# --------------------------------------------------------------------------
-
-
-@dataclass(slots=True)
-class ClassicPerSource:
-    sn_last: int = 0
-
-
-def classic_check(p: PacketId, s: ClassicPerSource, mode: Termination) -> Decision:
-    """Relay iff p.sn exceeds the stored value.
-
-    C/U stores every larger reception immediately.  R/U stores only actual
-    forwards, which the node reports via :meth:`TerminationState.note_forwarded`
-    once the packet leaves its relay queue.
-    """
-    eligible = p.sn > s.sn_last
-    if eligible and mode is Termination.CU:
-        s.sn_last = p.sn
-    return Decision.RELAY_ELIGIBLE if eligible else Decision.DROP
-
-
-# --------------------------------------------------------------------------
-# M/U: per-neighbour mark table with expiry
-# --------------------------------------------------------------------------
-
-
-class MarkTable:
-    """Which packets each 1-hop neighbour has been overheard transmitting.
-
-    A mark is only ever set for the transmitting neighbour itself; marks
-    expire ``expiry`` seconds after they were (re-)set.
-    """
-
-    __slots__ = ("expiry", "_marks")
-
-    def __init__(self, expiry: float):
-        self.expiry = expiry
-        self._marks: dict[tuple[int, PacketId], float] = {}
-
-    def mark(self, neighbor: int, p: PacketId, now: float) -> None:
-        self._marks[(neighbor, p)] = now + self.expiry
-
-    def is_marked(self, neighbor: int, p: PacketId, now: float) -> bool:
-        deadline = self._marks.get((neighbor, p))
-        return deadline is not None and now <= deadline
-
-    def prune(self, now: float) -> None:
-        stale = [key for key, deadline in self._marks.items() if deadline < now]
-        for key in stale:
-            del self._marks[key]
-
-    def __len__(self) -> int:
-        return len(self._marks)
-
-
-def mu_check(p: PacketId, marks: MarkTable, neighbors: NodeSet, now: float) -> Decision:
+def mu_check(p: PacketId, marks: TtlSet, neighbors: NodeSet, now: float) -> Decision:
     """Relay while at least one current neighbour has no valid mark for p."""
     for n in members(neighbors):
-        if not marks.is_marked(n, p, now):
+        if not marks.contains((n, p), now):
             return Decision.RELAY_ELIGIBLE
     return Decision.DROP
-
-
-# --------------------------------------------------------------------------
-# Per-node wrapper used by the protocol layer
-# --------------------------------------------------------------------------
 
 
 @dataclass
@@ -167,53 +90,59 @@ class TerminationState:
     mcu_window: int = 64
     mark_expiry: float = 5.0
     windows: dict[int, SourceWindow] = field(default_factory=dict)
-    classic: dict[int, ClassicPerSource] = field(default_factory=dict)
-    marks: MarkTable | None = None
+    sn_last: dict[int, int] = field(default_factory=dict)
+    marks: TtlSet | None = None  # M/U only
 
     def __post_init__(self) -> None:
         if self.mode is Termination.MU:
-            self.marks = MarkTable(self.mark_expiry)
+            self.marks = TtlSet(self.mark_expiry)
 
     def check(self, p: PacketId, now: float, view: NeighborView) -> Decision:
+        """Relay decision for a native copy of p, heard or generated here."""
         if self.mode is Termination.MCU:
             w = self.windows.get(p.source)
             if w is None:
                 w = self.windows[p.source] = SourceWindow(self.mcu_window)
             return mcu_relay_or_not(p, w)
-        if self.mode is Termination.MU:
-            assert self.marks is not None
+        if self.marks is not None:
             return mu_check(p, self.marks, view.one_hop, now)
-        s = self.classic.get(p.source)
-        if s is None:
-            s = self.classic[p.source] = ClassicPerSource()
-        return classic_check(p, s, self.mode)
+        # C/U stores every larger reception; R/U stores only actual forwards,
+        # which the node reports through note_forwarded
+        if p.sn <= self.sn_last.get(p.source, 0):
+            return Decision.DROP
+        if self.mode is Termination.CU:
+            self.sn_last[p.source] = p.sn
+        return Decision.RELAY_ELIGIBLE
 
-    def stale_at_expiry(self, p: PacketId) -> bool:
+    def stale_at_expiry(self, p: PacketId, now: float, view: NeighborView) -> bool:
         """Staleness of a buffered packet once its assessment delay runs out.
 
-        The single-value criteria cannot tell a pending packet from an old
-        one: any larger sequence number heard (C/U) or forwarded (R/U) while
-        p sat in the buffer overwrites the stored value and kills p.  The
-        window bitmap keeps per-SN state, so a buffered packet stays valid.
+        M/U re-checks, as marks may have accumulated while p sat in the
+        buffer.  The single-value criteria cannot tell a pending packet from
+        an old one: any larger sequence number heard (C/U) or forwarded (R/U)
+        meanwhile overwrites the stored value and kills p.  The window bitmap
+        keeps per-SN state, so a buffered packet stays valid.
         """
-        if self.mode in (Termination.CU, Termination.RU):
-            s = self.classic.get(p.source)
-            return s is not None and s.sn_last > p.sn
-        return False
+        if self.mode is Termination.MCU:
+            return False
+        if self.marks is not None:
+            return self.check(p, now, view) is Decision.DROP
+        return self.sn_last.get(p.source, 0) > p.sn
 
     def observe_transmitter(self, tx_node: int, p: PacketId, now: float) -> None:
         """M/U bookkeeping: the transmitting neighbour evidently holds p."""
         if self.marks is not None:
-            self.marks.mark(tx_node, p, now)
+            self.marks.add((tx_node, p), now)
 
     def note_forwarded(self, p: PacketId) -> None:
         """Report an actual transmission of p by this node (R/U semantics)."""
-        if self.mode is Termination.RU:
-            s = self.classic.get(p.source)
-            if s is None:
-                s = self.classic[p.source] = ClassicPerSource()
-            if p.sn > s.sn_last:
-                s.sn_last = p.sn
+        if self.mode is Termination.RU and p.sn > self.sn_last.get(p.source, 0):
+            self.sn_last[p.source] = p.sn
+
+    def prune(self, now: float) -> None:
+        """Expire soft state (M/U marks)."""
+        if self.marks is not None:
+            self.marks.prune(now)
 
     def digest(self) -> str:
         """Stable hash of the criterion state; used to verify read-only paths."""
@@ -221,10 +150,10 @@ class TerminationState:
         h.update(self.mode.value.encode())
         for src in sorted(self.windows):
             w = self.windows[src]
-            h.update(f"w{src}:{w.bm}:{w.sn_max}:{w.mindex};".encode())
-        for src in sorted(self.classic):
-            h.update(f"c{src}:{self.classic[src].sn_last};".encode())
+            h.update(f"w{src}:{w.bm}:{w.sn_max};".encode())
+        for src in sorted(self.sn_last):
+            h.update(f"c{src}:{self.sn_last[src]};".encode())
         if self.marks is not None:
-            for key in sorted(self.marks._marks):
-                h.update(f"m{key}:{self.marks._marks[key]};".encode())
+            for key, deadline in sorted(self.marks._deadlines.items()):
+                h.update(f"m{key}:{deadline};".encode())
         return h.hexdigest()

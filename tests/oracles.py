@@ -36,12 +36,13 @@ class FullHistoryDedup:
         return "relay"
 
 
-def rebuild_window_bitmap(k: int, sn_max: int, mindex: int, received: set[int]) -> int:
-    """Window bitmap built from scratch out of the full reception history."""
+def rebuild_window_bitmap(k: int, sn_max: int, received: set[int]) -> int:
+    """Window bitmap built from scratch out of the full reception history:
+    bit i is set when ``sn_max - i`` was received, for i < k."""
     bm = 0
     for s in received:
         if sn_max - k < s <= sn_max:
-            bm |= 1 << ((mindex + s - sn_max) % k)
+            bm |= 1 << (sn_max - s)
     return bm
 
 

@@ -10,14 +10,22 @@ from nobcr.coding import (
     PacketPool,
     PlanItem,
     ReceptionTable,
-    TtlSet,
     decode,
     detect_coding,
     encode,
     mark_gratis,
     receivers_of,
 )
-from nobcr.model import ConstituentHeader, NeighborView, PacketId, bit, card, from_ids, members
+from nobcr.model import (
+    ConstituentHeader,
+    NeighborView,
+    PacketId,
+    TtlSet,
+    bit,
+    card,
+    from_ids,
+    members,
+)
 
 
 def pid(sn, source=0):
@@ -134,7 +142,9 @@ def test_ttl_set_expires_entries():
     s.add(pid(1), now=0.0)
     assert s.contains(pid(1), now=1.9)
     assert not s.contains(pid(1), now=2.1)
-    assert not s.contains(pid(1), now=0.5)  # expired entries are dropped
+    assert len(s) == 1  # contains only reads
+    s.prune(now=2.1)
+    assert len(s) == 0  # prune drops expired entries
 
 
 def test_ttl_set_rejects_bare_membership():

@@ -3,9 +3,12 @@
 Eleven short runs (every variant on the dense-sources desk profile, plus a
 mobile pair) are written with ``harness.write_raw_csv`` and the file's
 sha256 is compared with the digest recorded before the refactors it guards.
-A refactor or a speed-up must leave the digest alone.  An intended change of
-behaviour (a protocol fix such as ROADMAP item 1) updates ``RAW_SHA256`` here
-and says so, with the shift in results, in CHANGES.md.
+Those runs never get past sequence number 64, so they never wrap the MC/U
+window; a second pin (``SMALL_WINDOW_SHA256``) runs the MC/U variants with a
+4-packet window long enough to wrap it many times.  A refactor or a speed-up
+must leave both digests alone.  An intended change of behaviour (a protocol
+fix such as ROADMAP item 1) updates the digests here and says so, with the
+shift in results, in CHANGES.md.
 """
 import hashlib
 
@@ -13,27 +16,38 @@ from nobcr import harness
 from nobcr.presets import PRESETS, VARIANTS
 
 RAW_SHA256 = "dc777f200ae2fdf6855fa19402835fb795f7246f218beea085f86e04dc5b23dd"
+SMALL_WINDOW_SHA256 = "aa1b8c7509d26c4c10a05285da42bb7cc1eacef39617cba870a481e3dfdfc559"
 
 CASES = [
     ("dense-sources", "10", tuple(VARIANTS)),
     ("mobility", "10", ("nobcr", "pdp-cu")),
 ]
+SMALL_WINDOW_CASES = [("dense-sources", "10", ("nobcr", "nobcr-table", "pdp-mcu"))]
+SMALL_WINDOW = {"mcu_window": 4, "pkt_rate": 4, "sim_duration": 20}
 
 
-def _tasks():
+def _tasks(cases, overrides):
     tasks = []
-    for preset, sweep, variants in CASES:
+    for preset, sweep, variants in cases:
         swept = harness.build_tasks(
-            PRESETS[preset], desk=True, seeds=[1], variants=variants,
-            overrides={"sim_duration": 10},
+            PRESETS[preset], desk=True, seeds=[1], variants=variants, overrides=overrides,
         )
         tasks += [t for t in swept if t["sweep"] == sweep]
     return tasks
 
 
-def test_raw_csv_digest_is_pinned(tmp_path):
-    tasks = _tasks()
-    assert len(tasks) == len(VARIANTS) + 2
-    path = tmp_path / "pin_raw.csv"
+def _digest(tasks, path):
     harness.write_raw_csv(harness.run_tasks(tasks, jobs=1), path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == RAW_SHA256
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_raw_csv_digest_is_pinned(tmp_path):
+    tasks = _tasks(CASES, {"sim_duration": 10})
+    assert len(tasks) == len(VARIANTS) + 2
+    assert _digest(tasks, tmp_path / "pin_raw.csv") == RAW_SHA256
+
+
+def test_small_window_raw_csv_digest_is_pinned(tmp_path):
+    tasks = _tasks(SMALL_WINDOW_CASES, SMALL_WINDOW)
+    assert len(tasks) == 3
+    assert _digest(tasks, tmp_path / "pin_raw.csv") == SMALL_WINDOW_SHA256

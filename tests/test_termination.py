@@ -1,20 +1,15 @@
-"""Termination criteria: window bitmap, classic per-source values, mark table."""
+"""Termination criteria: window bitmap, classic per-source values, mark set."""
 import random
 
 import pytest
 
 from nobcr.config import Termination
-from nobcr.model import NeighborView, PacketId, from_ids
+from nobcr.model import NeighborView, PacketId, TtlSet, from_ids
 from nobcr.termination import (
-    ClassicPerSource,
     Decision,
-    MarkTable,
     SourceWindow,
     TerminationState,
-    _clear_range,
-    classic_check,
     mcu_relay_or_not,
-    mcu_update,
     mu_check,
 )
 
@@ -29,67 +24,69 @@ def pid(sn, source=0):
 
 
 # --------------------------------------------------------------------------
-# Window bitmap, worked step by step
+# Window bitmap, worked step by step (bit i stands for sn_max - i)
 # --------------------------------------------------------------------------
 
 
 def test_first_reception_lands_at_shifted_index():
     w = SourceWindow(k=8)
     assert mcu_relay_or_not(pid(5), w) is RELAY
-    assert (w.sn_max, w.mindex, w.bm) == (5, 5, 0b00100000)
+    assert (w.sn_max, w.bm) == (5, 0b1)  # bit 0 always stands for sn_max
 
 
 def test_in_window_reorder_then_duplicate():
     w = SourceWindow(k=8)
     assert mcu_relay_or_not(pid(5), w) is RELAY
     assert mcu_relay_or_not(pid(4), w) is RELAY  # older but unseen
-    assert w.bm == 0b00110000
+    assert w.bm == 0b11
     assert mcu_relay_or_not(pid(4), w) is DROP  # now a duplicate
     assert mcu_relay_or_not(pid(5), w) is DROP
-    assert w.bm == 0b00110000
+    assert w.bm == 0b11
 
 
 def test_advance_by_one_clears_nothing():
-    w = SourceWindow(k=8, bm=0b00001110, sn_max=3, mindex=3)
-    mcu_update(pid(4), w)
-    assert (w.sn_max, w.mindex) == (4, 4)
-    assert w.bm == 0b00011110
+    w = SourceWindow(k=8, bm=0b111, sn_max=3)
+    assert mcu_relay_or_not(pid(4), w) is RELAY
+    assert (w.sn_max, w.bm) == (4, 0b1111)
 
 
 def test_single_rollover_clears_both_wrapped_ranges():
-    w = SourceWindow(k=8, bm=0b11111111, sn_max=6, mindex=6)
-    mcu_update(pid(10), w)
-    # positions 7 then 0..1 leave the window; position 2 is the new maximum
-    assert (w.sn_max, w.mindex) == (10, 2)
-    assert w.bm == 0b01111100
+    w = SourceWindow(k=8, bm=0b11111111, sn_max=6)
+    assert mcu_relay_or_not(pid(10), w) is RELAY
+    # 7..9 were never received; 3..6 move up to bits 4..7; older ones leave
+    assert (w.sn_max, w.bm) == (10, 0b11110001)
 
 
 def test_multi_rollover_wipes_window():
-    w = SourceWindow(k=8, bm=0b11111111, sn_max=3, mindex=3)
-    mcu_update(pid(20), w)
-    assert (w.sn_max, w.mindex) == (20, 4)
-    assert w.bm == 0b00010000
+    w = SourceWindow(k=8, bm=0b11111111, sn_max=3)
+    assert mcu_relay_or_not(pid(20), w) is RELAY
+    assert (w.sn_max, w.bm) == (20, 0b1)
+
+
+@pytest.mark.parametrize("k", [4, 64])
+def test_huge_jump_keeps_bitmap_within_k(k):
+    w = SourceWindow(k)
+    for sn in range(1, 2 * k):
+        mcu_relay_or_not(pid(sn), w)
+    assert mcu_relay_or_not(pid(w.sn_max + 10**9), w) is RELAY
+    assert w.bm == 1 and w.bm.bit_length() <= k
 
 
 def test_update_rejects_non_advance():
-    w = SourceWindow(k=8, sn_max=5, mindex=5, bm=1 << 5)
-    with pytest.raises(ValueError):
-        mcu_update(pid(5), w)
+    w = SourceWindow(k=8, sn_max=5, bm=0b1)
+    assert mcu_relay_or_not(pid(5), w) is DROP  # the maximum itself is no advance
+    assert (w.sn_max, w.bm) == (5, 0b1)
 
 
 def test_too_old_reception_drops_without_state_change():
     w = SourceWindow(k=8)
     mcu_relay_or_not(pid(100), w)
-    before = (w.bm, w.sn_max, w.mindex)
+    before = (w.bm, w.sn_max)
     assert mcu_relay_or_not(pid(92), w) is DROP  # 92 == sn_max - k
     assert mcu_relay_or_not(pid(1), w) is DROP
-    assert (w.bm, w.sn_max, w.mindex) == before
+    assert (w.bm, w.sn_max) == before
     assert mcu_relay_or_not(pid(93), w) is RELAY  # oldest in-window slot
-
-
-def test_clear_range_noop_when_empty():
-    assert _clear_range(0xFF, 5, 4) == 0xFF
-    assert _clear_range(0xFF, 0, 7) == 0
+    assert w.bm == 0b10000001
 
 
 # --------------------------------------------------------------------------
@@ -120,13 +117,13 @@ def test_window_bitmap_rebuilds_from_history():
         for _ in range(rng.randint(5, 60)):
             if rng.random() < 0.4 or front == 0:
                 front += rng.choice([1, 2, 3, k - 1, k, 2 * k + 3])
-                mcu_update(pid(front), w)
+                assert mcu_relay_or_not(pid(front), w) is RELAY
                 received.add(front)
             else:
                 sn = max(1, front - rng.randrange(k + 8))
                 if mcu_relay_or_not(pid(sn), w) is RELAY:
                     received.add(sn)
-            assert w.bm == rebuild_window_bitmap(k, w.sn_max, w.mindex, received)
+            assert w.bm == rebuild_window_bitmap(k, w.sn_max, received)
 
 
 # --------------------------------------------------------------------------
@@ -135,76 +132,78 @@ def test_window_bitmap_rebuilds_from_history():
 
 
 def test_cu_stores_every_larger_reception():
-    s = ClassicPerSource()
-    assert classic_check(pid(3), s, Termination.CU) is RELAY
-    assert s.sn_last == 3
-    assert classic_check(pid(2), s, Termination.CU) is DROP  # reorder casualty
-    assert classic_check(pid(3), s, Termination.CU) is DROP
-    assert classic_check(pid(7), s, Termination.CU) is RELAY
-    assert s.sn_last == 7
+    st = TerminationState(mode=Termination.CU)
+    v = NeighborView(owner=9)
+    assert st.check(pid(3), 0.0, v) is RELAY
+    assert st.sn_last[0] == 3
+    assert st.check(pid(2), 0.0, v) is DROP  # reorder casualty
+    assert st.check(pid(3), 0.0, v) is DROP
+    assert st.check(pid(7), 0.0, v) is RELAY
+    assert st.sn_last[0] == 7
 
 
 def test_ru_stores_only_on_forward():
     st = TerminationState(mode=Termination.RU)
     v = NeighborView(owner=9)
     assert st.check(pid(3), 0.0, v) is RELAY
-    assert st.classic[0].sn_last == 0  # eligible but nothing forwarded yet
+    assert 0 not in st.sn_last  # eligible but nothing forwarded yet
     assert st.check(pid(3), 0.0, v) is RELAY
     st.note_forwarded(pid(3))
-    assert st.classic[0].sn_last == 3
+    assert st.sn_last[0] == 3
     assert st.check(pid(2), 0.0, v) is DROP
 
 
 def test_cu_decision_stream_matches_running_max():
     rng = random.Random(5)
-    s = ClassicPerSource()
+    st = TerminationState(mode=Termination.CU)
+    v = NeighborView(owner=9)
     best = 0
     for _ in range(20_000):
         sn = rng.randint(1, 500)
-        got = classic_check(pid(sn), s, Termination.CU)
+        got = st.check(pid(sn), 0.0, v)
         assert (got is RELAY) == (sn > best)
         best = max(best, sn)
 
 
 # --------------------------------------------------------------------------
-# Mark table
+# M/U marks: a TtlSet of (neighbour, packet) pairs
 # --------------------------------------------------------------------------
 
 
 def test_marks_expire_and_reenable_relay():
-    marks = MarkTable(expiry=5.0)
+    marks = TtlSet(ttl=5.0)
     nbrs = from_ids({1, 2})
     p = pid(1, source=9)
     assert mu_check(p, marks, nbrs, now=0.0) is RELAY
-    marks.mark(1, p, now=0.0)
+    marks.add((1, p), now=0.0)
     assert mu_check(p, marks, nbrs, now=1.0) is RELAY  # 2 still unmarked
-    marks.mark(2, p, now=1.0)
+    marks.add((2, p), now=1.0)
     assert mu_check(p, marks, nbrs, now=2.0) is DROP
     assert mu_check(p, marks, nbrs, now=5.0) is DROP  # node 1 mark lives to 5.0
     assert mu_check(p, marks, nbrs, now=5.1) is RELAY  # ...then 1 counts as unmarked
 
 
 def test_mu_new_neighbour_reopens_relay():
-    marks = MarkTable(expiry=5.0)
+    marks = TtlSet(ttl=5.0)
     p = pid(1)
-    marks.mark(1, p, now=0.0)
+    marks.add((1, p), now=0.0)
     assert mu_check(p, marks, from_ids({1}), now=1.0) is DROP
     assert mu_check(p, marks, from_ids({1, 3}), now=1.0) is RELAY
 
 
 def test_mu_with_no_neighbours_drops():
-    marks = MarkTable(expiry=5.0)
+    marks = TtlSet(ttl=5.0)
     assert mu_check(pid(1), marks, 0, now=0.0) is DROP
 
 
 def test_mark_prune_removes_expired_only():
-    marks = MarkTable(expiry=2.0)
-    marks.mark(1, pid(1), now=0.0)
-    marks.mark(2, pid(1), now=3.0)
+    marks = TtlSet(ttl=2.0)
+    marks.add((1, pid(1)), now=0.0)
+    marks.add((2, pid(1)), now=3.0)
     marks.prune(now=2.5)
     assert len(marks) == 1
-    assert marks.is_marked(2, pid(1), now=4.0)
-    assert not marks.is_marked(1, pid(1), now=4.0)
+    assert marks.contains((2, pid(1)), now=4.0)
+    assert not marks.contains((1, pid(1)), now=4.0)
 
 
 # --------------------------------------------------------------------------
@@ -255,11 +254,11 @@ def test_note_forwarded_feeds_ru_only():
     ru.note_forwarded(p)
     assert ru.check(p, 0.0, v) is DROP
     ru.note_forwarded(PacketId(0, 2))  # stale report must not regress
-    assert ru.classic[0].sn_last == 4
+    assert ru.sn_last[0] == 4
 
     cu = TerminationState(Termination.CU)
     cu.note_forwarded(p)
-    assert 0 not in cu.classic
+    assert 0 not in cu.sn_last
 
 
 def test_buffered_packet_staleness_per_mode():
@@ -268,24 +267,32 @@ def test_buffered_packet_staleness_per_mode():
     cu = TerminationState(Termination.CU)
     v = _view()
     assert cu.check(PacketId(0, 1), 0.0, v) is RELAY
-    assert not cu.stale_at_expiry(PacketId(0, 1))
+    assert not cu.stale_at_expiry(PacketId(0, 1), 0.2, v)
     assert cu.check(PacketId(0, 2), 0.1, v) is RELAY
-    assert cu.stale_at_expiry(PacketId(0, 1))
-    assert not cu.stale_at_expiry(PacketId(0, 2))
+    assert cu.stale_at_expiry(PacketId(0, 1), 0.2, v)
+    assert not cu.stale_at_expiry(PacketId(0, 2), 0.2, v)
 
     # R/U: only an actual forward of a larger SN overwrites
     ru = TerminationState(Termination.RU)
     assert ru.check(PacketId(0, 1), 0.0, v) is RELAY
     assert ru.check(PacketId(0, 2), 0.1, v) is RELAY
-    assert not ru.stale_at_expiry(PacketId(0, 1))
+    assert not ru.stale_at_expiry(PacketId(0, 1), 0.2, v)
     ru.note_forwarded(PacketId(0, 2))
-    assert ru.stale_at_expiry(PacketId(0, 1))
+    assert ru.stale_at_expiry(PacketId(0, 1), 0.2, v)
 
     # the window keeps per-SN state, so buffered packets never go stale
     mcu = TerminationState(Termination.MCU, mcu_window=8)
     assert mcu.check(PacketId(0, 1), 0.0, v) is RELAY
     assert mcu.check(PacketId(0, 2), 0.1, v) is RELAY
-    assert not mcu.stale_at_expiry(PacketId(0, 1))
+    assert not mcu.stale_at_expiry(PacketId(0, 1), 0.2, v)
+
+    # M/U: marks heard while the packet waits make it stale at expiry
+    mu = TerminationState(Termination.MU, mark_expiry=5.0)
+    v1 = _view(one_hop={1})
+    assert mu.check(PacketId(0, 1), 0.0, v1) is RELAY
+    assert not mu.stale_at_expiry(PacketId(0, 1), 0.1, v1)
+    mu.observe_transmitter(1, PacketId(0, 1), 0.1)
+    assert mu.stale_at_expiry(PacketId(0, 1), 0.2, v1)
 
 
 def test_digest_tracks_state_changes():
@@ -298,3 +305,22 @@ def test_digest_tracks_state_changes():
     assert d1 != d0
     st.check(PacketId(0, 1), 0.0, v)  # duplicate: no state change
     assert st.digest() == d1
+
+
+@pytest.mark.parametrize("mode", [Termination.MU, Termination.RU])
+def test_check_only_reads_under_mu_and_ru(mode):
+    st = TerminationState(mode, mark_expiry=1.0)
+    v = _view(one_hop={1, 2})
+    rng = random.Random(3)
+    now = 0.0
+    for _ in range(200):
+        now += rng.random()
+        p = PacketId(rng.randrange(3), rng.randint(1, 20))
+        st.observe_transmitter(rng.choice([1, 2]), p, now)
+        st.note_forwarded(p)
+        before = st.digest()
+        for _ in range(5):
+            q = PacketId(rng.randrange(3), rng.randint(1, 20))
+            st.check(q, now + 2 * rng.random(), v)
+            st.stale_at_expiry(q, now + 2 * rng.random(), v)
+        assert st.digest() == before
