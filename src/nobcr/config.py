@@ -56,10 +56,9 @@ class ScenarioConfig:
     traffic_cutoff: float = 5.0  # stop generating this long before the end
 
     # hello protocol
-    hello_enabled: bool = True
+    hello_enabled: bool = True  # off: views are the true adjacency at t=0, never refreshed
     hello_interval: float = 1.0
     hello_expiry_factor: float = 2.0  # view entries expire after factor*interval
-    preconverged_views: bool = False  # seed views from the true adjacency at t=0
 
     # protocol timers / windows
     rad_max: float = 0.4  # relay assessment delay, uniform in [0, rad_max]

@@ -195,7 +195,7 @@ class Simulation:
         self.nodes = [
             Node(i, config, self._make_rad_fn(i), self.metrics, self.log) for i in range(n)
         ]
-        if config.preconverged_views or adjacency is not None:
+        if not config.hello_enabled or adjacency is not None:
             self._preconverge()
 
         if injections is not None:
@@ -385,7 +385,7 @@ class Simulation:
             elif kind == SAMPLE:
                 for node in self.nodes:
                     self.metrics.on_storage_sample(
-                        node.pool.items,
+                        node.pool.item_count(),
                         node.table.item_count(t) if node.table is not None else 0,
                         len(node.pool),
                     )

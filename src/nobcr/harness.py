@@ -9,34 +9,13 @@ from pathlib import Path
 
 from .config import ScenarioConfig
 from .engine import Simulation
+from .metrics import SUMMARY_COLUMNS
 from .presets import VARIANTS, ExperimentSpec
 
 RAW_SCHEMA = "#schema=nobcr-raw-1"
 AGG_SCHEMA = "#schema=nobcr-agg-1"
 
 _KEY_COLUMNS = ["experiment", "variant", "sweep", "seed"]
-
-_METRIC_COLUMNS = [
-    "generated",
-    "deliveries",
-    "delivery_ratio",
-    "data_tx",
-    "constituents_tx",
-    "encoded_tx",
-    "encoded_tx_gratis",
-    "hello_tx",
-    "decode_failures",
-    "decode_late",
-    "gratis_buffered",
-    "gratis_dropped",
-    "collision_losses",
-    "mean_delay",
-    "median_delay",
-    "p90_delay",
-    "stored_items_light",
-    "stored_items_table",
-    "pool_entries_avg",
-]
 
 
 def run_one(task: dict) -> dict:
@@ -121,7 +100,7 @@ def _write_csv(path: Path, schema: str, header: list[str], rows) -> None:
 
 
 def write_raw_csv(rows: list[dict], path: Path) -> None:
-    columns = _KEY_COLUMNS + _METRIC_COLUMNS
+    columns = _KEY_COLUMNS + SUMMARY_COLUMNS
     _write_csv(path, RAW_SCHEMA, columns, ([row[c] for c in columns] for row in rows))
 
 
@@ -235,7 +214,7 @@ def aggregate(rows: list[dict]) -> list[dict]:
             "sweep": sweep,
             "n_seeds": len(members),
         }
-        for metric in _METRIC_COLUMNS:
+        for metric in SUMMARY_COLUMNS:
             mean, half = mean_ci([float(m[metric]) for m in members])
             agg[f"{metric}_mean"] = mean
             agg[f"{metric}_ci95"] = half
@@ -245,7 +224,7 @@ def aggregate(rows: list[dict]) -> list[dict]:
 
 def write_agg_csv(aggs: list[dict], path: Path) -> None:
     columns = ["experiment", "variant", "sweep", "n_seeds"]
-    for metric in _METRIC_COLUMNS:
+    for metric in SUMMARY_COLUMNS:
         columns += [f"{metric}_mean", f"{metric}_ci95"]
     _write_csv(path, AGG_SCHEMA, columns, ([agg[c] for c in columns] for agg in aggs))
 

@@ -4,6 +4,29 @@ from __future__ import annotations
 import statistics
 from .model import PacketId
 
+# keys of Metrics.summary(), in the order the CSV writers emit them
+SUMMARY_COLUMNS = [
+    "generated",
+    "deliveries",
+    "delivery_ratio",
+    "data_tx",
+    "constituents_tx",
+    "encoded_tx",
+    "encoded_tx_gratis",
+    "hello_tx",
+    "decode_failures",
+    "decode_late",
+    "gratis_buffered",
+    "gratis_dropped",
+    "collision_losses",
+    "mean_delay",
+    "median_delay",
+    "p90_delay",
+    "stored_items_light",
+    "stored_items_table",
+    "pool_entries_avg",
+]
+
 
 class Metrics:
     """Mutable accumulator shared by all nodes of one run."""
@@ -71,22 +94,12 @@ class Metrics:
         )
 
     def summary(self) -> dict[str, float]:
+        """One value per ``SUMMARY_COLUMNS`` key; a key with no derived value
+        is the counter attribute of the same name."""
         delays = self.delay_samples
         light, table = self.mean_stored_items()
-        return {
-            "generated": float(self.generated),
-            "deliveries": float(self.deliveries),
+        derived = {
             "delivery_ratio": self.delivery_ratio(),
-            "data_tx": float(self.data_tx),
-            "constituents_tx": float(self.constituents_tx),
-            "encoded_tx": float(self.encoded_tx),
-            "encoded_tx_gratis": float(self.encoded_tx_gratis),
-            "hello_tx": float(self.hello_tx),
-            "decode_failures": float(self.decode_failures),
-            "decode_late": float(self.decode_late),
-            "gratis_buffered": float(self.gratis_buffered),
-            "gratis_dropped": float(self.gratis_dropped),
-            "collision_losses": float(self.collision_losses),
             "mean_delay": statistics.fmean(delays) if delays else 0.0,
             "median_delay": statistics.median(delays) if delays else 0.0,
             "p90_delay": _quantile(delays, 0.9),
@@ -95,6 +108,10 @@ class Metrics:
             "pool_entries_avg": (
                 self.sum_pool_entries / self.storage_samples if self.storage_samples else 0.0
             ),
+        }
+        return {
+            key: derived[key] if key in derived else float(getattr(self, key))
+            for key in SUMMARY_COLUMNS
         }
 
 

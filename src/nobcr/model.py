@@ -7,7 +7,7 @@ protocol hot paths (union/intersection/difference per reception) cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 NodeSet = int  # bitmask over node ids
 
@@ -46,31 +46,57 @@ class PacketId(NamedTuple):
     sn: int  # per-source sequence number, starts at 1
 
 
-class TtlSet:
-    """Set of keys with per-entry expiry: a key is present until ``ttl``
-    seconds after it was last added.  :meth:`contains` only reads, so an
-    expired entry reads as absent until :meth:`prune` deletes it."""
+class ReceptionTable:
+    """Per-packet sets of nodes believed to hold the packet, each node with its
+    own expiry: a node holds a packet until ``ttl`` seconds after it was last
+    marked.  :meth:`holders` only reads, so an expired entry reads as absent
+    until :meth:`prune` deletes it.
 
-    __slots__ = ("ttl", "_deadlines")
+    Two users share it.  The reception-table coding detector marks every
+    constituent of an overheard transmission as held by the transmitter and
+    by the current neighbours known to be in its range.  The M/U termination
+    criterion marks each transmitter heard sending a native copy, and relays
+    while some current neighbour is unmarked.
+    """
+
+    __slots__ = ("ttl", "_holders")
 
     def __init__(self, ttl: float):
         self.ttl = ttl
-        self._deadlines: dict[Hashable, float] = {}
+        self._holders: dict[PacketId, dict[int, float]] = {}
 
-    def add(self, key: Hashable, now: float) -> None:
-        self._deadlines[key] = now + self.ttl
+    def mark(self, pid: PacketId, holders: NodeSet, now: float) -> None:
+        slot = self._holders.get(pid)
+        if slot is None:
+            slot = self._holders[pid] = {}
+        deadline = now + self.ttl
+        for u in members(holders):
+            slot[u] = deadline
 
-    def contains(self, key: Hashable, now: float) -> bool:
-        deadline = self._deadlines.get(key)
-        return deadline is not None and now <= deadline
+    def holders(self, pid: PacketId, now: float) -> NodeSet:
+        slot = self._holders.get(pid)
+        if not slot:
+            return 0
+        mask = 0
+        for u, deadline in slot.items():
+            if deadline >= now:
+                mask |= 1 << u
+        return mask
 
     def prune(self, now: float) -> None:
-        stale = [key for key, d in self._deadlines.items() if d < now]
-        for key in stale:
-            del self._deadlines[key]
+        dead_pids = []
+        for pid, slot in self._holders.items():
+            stale = [u for u, d in slot.items() if d < now]
+            for u in stale:
+                del slot[u]
+            if not slot:
+                dead_pids.append(pid)
+        for pid in dead_pids:
+            del self._holders[pid]
 
-    def __len__(self) -> int:
-        return len(self._deadlines)
+    def item_count(self, now: float) -> int:
+        self.prune(now)
+        return sum(len(slot) for slot in self._holders.values())
 
 
 @dataclass(slots=True)

@@ -15,7 +15,7 @@ from . import coding
 from .coding import OutEntry, PacketPool, PlanItem, ReceptionTable
 from .config import Coding, ScenarioConfig
 from .forwarding import elect_forwarders, elect_source_forwarders
-from .model import ConstituentHeader, NeighborView, Packet, PacketId, TtlSet, bit
+from .model import ConstituentHeader, NeighborView, Packet, PacketId, bit
 from .termination import Decision, TerminationState
 
 
@@ -81,10 +81,8 @@ class Node:
             mcu_window=config.mcu_window,
             mark_expiry=config.mark_expiry,
         )
-        self.gratis_seen = TtlSet(config.pool_lifetime)
         self.queue: dict[PacketId, OutEntry] = {}
         self.bank: list[BankedPacket] = []
-        self._seq = 0
         self._next_token = 0
         self._cr = config.coded_redundancy and config.coding is not Coding.NONE
 
@@ -115,15 +113,13 @@ class Node:
             self.queue.values(),
             self.view,
             self._known_of(now),
-            include_gratis=self._cr,
             allow_gratis_pair=allow_gratis_pair,
         )
 
     def _buffer(self, pid: PacketId, now: float, gratis: bool, actions: list[Action]) -> None:
         delay = self.rad_delay(pid)
-        self._seq += 1
         self._next_token += 1
-        entry = OutEntry(pid, now + delay, gratis, self._seq, self._next_token)
+        entry = OutEntry(pid, now + delay, gratis, self._next_token)
         self.queue[pid] = entry
         actions.append(ScheduleRad(pid, entry.token, entry.deadline))
         self._logev(now, "buffer-gratis" if gratis else "buffer", pid, "until", entry.deadline)
@@ -131,14 +127,13 @@ class Node:
     def _transmit_plan(self, plan: list[PlanItem], now: float, actions: list[Action]) -> None:
         headers = []
         payloads = []
-        lens = []
         any_gratis = False
         for item in plan:
             entry = self.pool.get(item.pid)
             assert entry is not None, "plan member must be pooled"
             # this node is now itself a previous hop of the packet, so its
             # own neighbourhood joins the holder estimate
-            self.pool.record_copy(item.pid, self.id, now)
+            self.pool.record_copy(item.pid, self.id)
             self.queue.pop(item.pid, None)
             if item.gratis:
                 fwd = 0
@@ -153,8 +148,7 @@ class Node:
                 self.term.note_forwarded(item.pid)
             headers.append(ConstituentHeader(item.pid, fwd, item.gratis, entry.origin_time))
             payloads.append(entry.payload)
-            lens.append(entry.payload_len)
-        pkt = coding.encode(headers, payloads, lens, self.id)
+        pkt = coding.encode(headers, payloads, self.config.pkt_size, self.id)
         if self.table is not None:
             # own transmission: every current neighbour is about to hold these
             for item in plan:
@@ -167,17 +161,20 @@ class Node:
 
     def on_receive(self, pkt: Packet, now: float) -> list[Action]:
         actions: list[Action] = []
-        if self.config.hello_enabled:
-            self.view.prune(now, self._hello_horizon())
+        self.view.prune(now, self._hello_horizon())
         if self.table is not None:
             tx = pkt.tx_node
             holders = (self.view.neighbors_of(tx) & self.view.one_hop) | bit(tx)
             for c in pkt.constituents:
                 self.table.mark(c.pid, holders, now)
+        # banked packets can become decodable only when the pool gains an
+        # entry; no eviction runs inside a reception, so the size tells
+        pooled = len(self.pool)
         if not pkt.encoded:
             c = pkt.constituents[0]
             self._process_constituent(c, pkt.payload, pkt.tx_node, now, actions)
-            self._resolve_bank(now, actions)
+            if len(self.pool) > pooled:
+                self._resolve_bank(now, actions)
             return actions
 
         result = coding.decode(pkt, self.pool)
@@ -185,7 +182,7 @@ class Node:
             self._logev(now, "decode-defer", *result.missing)
             for c in pkt.constituents:
                 if c.pid in self.pool:
-                    self.pool.record_copy(c.pid, pkt.tx_node, now)
+                    self.pool.record_copy(c.pid, pkt.tx_node)
                     if not c.gratis:
                         self.term.observe_transmitter(pkt.tx_node, c.pid, now)
             self.bank.append(BankedPacket(pkt, now + self.pool.lifetime))
@@ -198,7 +195,8 @@ class Node:
                 assert entry is not None
                 payload = entry.payload
             self._process_constituent(c, payload, pkt.tx_node, now, actions)
-        self._resolve_bank(now, actions)
+        if len(self.pool) > pooled:
+            self._resolve_bank(now, actions)
         return actions
 
     def _process_constituent(
@@ -209,15 +207,7 @@ class Node:
         now: float,
         actions: list[Action],
     ) -> None:
-        entry, was_new = self.pool.record_copy(
-            c.pid,
-            tx_node,
-            now,
-            payload=payload,
-            payload_len=self.config.pkt_size,
-            origin_time=c.origin_time,
-            gratis=c.gratis,
-        )
+        entry, was_new = self.pool.record_copy(c.pid, tx_node, payload, c.origin_time)
         if was_new:
             actions.append(SchedulePoolEvict(c.pid, entry.token, now + self.pool.lifetime))
             if c.pid.source != self.id:
@@ -266,11 +256,11 @@ class Node:
         self, pid: PacketId, entry, was_new: bool, now: float, actions: list[Action]
     ) -> None:
         """Gratis receiving rule: a gratis copy never touches termination
-        state, so a later native copy still gets a fresh relay decision."""
-        if not was_new or self.gratis_seen.contains(pid, now):
+        state, so a later native copy still gets a fresh relay decision.  A
+        copy of a packet still pooled is a duplicate."""
+        if not was_new:
             self._logev(now, "gratis-dup", pid)
             return
-        self.gratis_seen.add(pid, now)
         if not self._cr:
             self._logev(now, "gratis-ignored", pid)
             return
@@ -309,7 +299,7 @@ class Node:
                 # owe its transmitter a previous-hop credit
                 for c in pkt.constituents:
                     if c.pid in self.pool:
-                        self.pool.record_copy(c.pid, pkt.tx_node, now)
+                        self.pool.record_copy(c.pid, pkt.tx_node)
                 for c in pkt.constituents:
                     if c.pid == result.recovered_pid:
                         self._logev(now, "decode-late", c.pid)
@@ -360,14 +350,7 @@ class Node:
 
     def on_generate(self, sn: int, now: float) -> list[Action]:
         pid = PacketId(self.id, sn)
-        entry, was_new = self.pool.record_copy(
-            pid,
-            None,
-            now,
-            payload=make_payload(pid),
-            payload_len=self.config.pkt_size,
-            origin_time=now,
-        )
+        entry, was_new = self.pool.record_copy(pid, None, make_payload(pid), now)
         assert was_new, "source sequence numbers must not repeat"
         actions: list[Action] = [SchedulePoolEvict(pid, entry.token, now + self.pool.lifetime)]
         self.term.check(pid, now, self.view)  # register own packet
@@ -392,10 +375,8 @@ class Node:
 
     def periodic(self, now: float) -> None:
         """Housekeeping on a coarse timer: expire soft state."""
-        if self.config.hello_enabled:
-            self.view.prune(now, self._hello_horizon())
+        self.view.prune(now, self._hello_horizon())
         self.flush_bank(now)
-        self.gratis_seen.prune(now)
         if self.table is not None:
             self.table.prune(now)
         self.term.prune(now)

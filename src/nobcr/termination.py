@@ -23,9 +23,9 @@ C/U        ``sn_last``: one SN a source       ``check`` stores a larger SN;
 R/U        ``sn_last``: one SN a source       ``check`` only reads;
                                               ``note_forwarded`` stores;
                                               ``stale_at_expiry``
-M/U        ``marks``: (neighbour, packet)     ``check`` only reads;
-           pairs with expiry                  ``observe_transmitter`` marks;
-                                              ``stale_at_expiry`` re-checks;
+M/U        ``marks``: a ``ReceptionTable``    ``check`` only reads;
+           of transmitters heard, each with   ``observe_transmitter`` marks;
+           its own expiry                     ``stale_at_expiry`` re-checks;
                                               ``prune`` expires marks
 =========  =================================  ==============================
 """
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .config import Termination
-from .model import NeighborView, NodeSet, PacketId, TtlSet, members
+from .model import NeighborView, PacketId, ReceptionTable, bit
 
 
 class Decision(Enum):
@@ -74,14 +74,6 @@ def mcu_relay_or_not(p: PacketId, w: SourceWindow) -> Decision:
     return Decision.RELAY_ELIGIBLE
 
 
-def mu_check(p: PacketId, marks: TtlSet, neighbors: NodeSet, now: float) -> Decision:
-    """Relay while at least one current neighbour has no valid mark for p."""
-    for n in members(neighbors):
-        if not marks.contains((n, p), now):
-            return Decision.RELAY_ELIGIBLE
-    return Decision.DROP
-
-
 @dataclass
 class TerminationState:
     """Per-node termination bookkeeping for the configured criterion."""
@@ -91,11 +83,11 @@ class TerminationState:
     mark_expiry: float = 5.0
     windows: dict[int, SourceWindow] = field(default_factory=dict)
     sn_last: dict[int, int] = field(default_factory=dict)
-    marks: TtlSet | None = None  # M/U only
+    marks: ReceptionTable | None = None  # M/U only
 
     def __post_init__(self) -> None:
         if self.mode is Termination.MU:
-            self.marks = TtlSet(self.mark_expiry)
+            self.marks = ReceptionTable(self.mark_expiry)
 
     def check(self, p: PacketId, now: float, view: NeighborView) -> Decision:
         """Relay decision for a native copy of p, heard or generated here."""
@@ -105,7 +97,10 @@ class TerminationState:
                 w = self.windows[p.source] = SourceWindow(self.mcu_window)
             return mcu_relay_or_not(p, w)
         if self.marks is not None:
-            return mu_check(p, self.marks, view.one_hop, now)
+            # relay while some current neighbour has no valid mark for p
+            if view.one_hop & ~self.marks.holders(p, now):
+                return Decision.RELAY_ELIGIBLE
+            return Decision.DROP
         # C/U stores every larger reception; R/U stores only actual forwards,
         # which the node reports through note_forwarded
         if p.sn <= self.sn_last.get(p.source, 0):
@@ -132,7 +127,7 @@ class TerminationState:
     def observe_transmitter(self, tx_node: int, p: PacketId, now: float) -> None:
         """M/U bookkeeping: the transmitting neighbour evidently holds p."""
         if self.marks is not None:
-            self.marks.add((tx_node, p), now)
+            self.marks.mark(p, bit(tx_node), now)
 
     def note_forwarded(self, p: PacketId) -> None:
         """Report an actual transmission of p by this node (R/U semantics)."""
@@ -154,6 +149,7 @@ class TerminationState:
         for src in sorted(self.sn_last):
             h.update(f"c{src}:{self.sn_last[src]};".encode())
         if self.marks is not None:
-            for key, deadline in sorted(self.marks._deadlines.items()):
-                h.update(f"m{key}:{deadline};".encode())
+            for pid, slot in sorted(self.marks._holders.items()):
+                for u, deadline in sorted(slot.items()):
+                    h.update(f"m{pid}:{u}:{deadline};".encode())
         return h.hexdigest()

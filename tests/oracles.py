@@ -64,6 +64,32 @@ def reordered_sn_stream(rng: random.Random, n: int, k: int, stale_frac: float = 
             yield max(1, front - int(r() * k))
 
 
+class PairMarks:
+    """M/U neighbour marks as a plain ``(neighbour, pid) -> deadline`` dict.
+
+    A mark lasts until ``ttl`` seconds after it was last set: it counts while
+    ``now <= deadline`` and pruning deletes it once ``deadline < now``.  A
+    packet is relayed while some current neighbour has no mark that counts.
+    """
+
+    def __init__(self, ttl: float):
+        self.ttl = ttl
+        self.deadlines: dict[tuple[int, object], float] = {}
+
+    def mark(self, neighbour: int, pid, now: float) -> None:
+        self.deadlines[(neighbour, pid)] = now + self.ttl
+
+    def relay(self, neighbours: set[int], pid, now: float) -> bool:
+        return any(
+            (n, pid) not in self.deadlines or now > self.deadlines[(n, pid)]
+            for n in neighbours
+        )
+
+    def prune(self, now: float) -> None:
+        for key in [k for k, d in self.deadlines.items() if d < now]:
+            del self.deadlines[key]
+
+
 # --------------------------------------------------------------------------
 # Cover targets and set cover, on plain sets
 # --------------------------------------------------------------------------

@@ -55,8 +55,7 @@ class TestRunCommand:
             "area_side = 400\n"
             "sim_duration = 5\n"
             "n_sources = 2\n"
-            "hello_enabled = off  # static views below\n"
-            "preconverged_views = yes\n"
+            "hello_enabled = off  # views: the true adjacency\n"
         )
         rc = main(["run", str(cfg), "--seeds", "1,2", "--out", str(tmp_path)])
         assert rc == 0

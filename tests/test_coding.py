@@ -20,9 +20,7 @@ from nobcr.model import (
     ConstituentHeader,
     NeighborView,
     PacketId,
-    TtlSet,
     bit,
-    card,
     from_ids,
     members,
 )
@@ -36,8 +34,8 @@ def header(p, forwarders=0, gratis=False):
     return ConstituentHeader(pid=p, forwarders=forwarders, gratis=gratis, origin_time=0.0)
 
 
-def queued(p, deadline, seq, gratis):
-    return OutEntry(p, deadline, gratis, seq, token=0)
+def queued(p, deadline, token, gratis):
+    return OutEntry(p, deadline, gratis, token)
 
 
 # --------------------------------------------------------------------------
@@ -48,36 +46,36 @@ def queued(p, deadline, seq, gratis):
 def test_first_copy_requires_payload():
     pool = PacketPool(lifetime=2.0)
     with pytest.raises(ValueError):
-        pool.record_copy(pid(1), prev_hop=3, now=0.0)
-    entry, was_new = pool.record_copy(pid(1), 3, 0.0, payload=0xAB, payload_len=4)
+        pool.record_copy(pid(1), prev_hop=3)
+    entry, was_new = pool.record_copy(pid(1), 3, payload=0xAB)
     assert was_new and entry.first_hop == 3 and entry.prev_hops == bit(3)
     assert pid(1) in pool and len(pool) == 1
 
 
 def test_duplicates_grow_hop_set_once():
     pool = PacketPool(lifetime=2.0)
-    pool.record_copy(pid(1), 3, 0.0, payload=1, payload_len=4)
-    entry, was_new = pool.record_copy(pid(1), 5, 0.1)
+    pool.record_copy(pid(1), 3, payload=1)
+    entry, was_new = pool.record_copy(pid(1), 5)
     assert not was_new and entry.prev_hops == from_ids({3, 5})
-    assert pool.items == 2
-    pool.record_copy(pid(1), 5, 0.2)  # same hop again
-    assert pool.items == 2
+    assert pool.item_count() == 2
+    pool.record_copy(pid(1), 5)  # same hop again
+    assert pool.item_count() == 2
 
 
 def test_own_packet_has_no_hops():
     pool = PacketPool(lifetime=2.0)
-    entry, was_new = pool.record_copy(pid(1), None, 0.0, payload=9, payload_len=4)
+    entry, was_new = pool.record_copy(pid(1), None, payload=9)
     assert was_new and entry.first_hop is None and entry.prev_hops == 0
-    assert pool.items == 0
+    assert pool.item_count() == 0
 
 
 def test_evict_honours_token():
     pool = PacketPool(lifetime=2.0)
-    entry, _ = pool.record_copy(pid(1), 3, 0.0, payload=1, payload_len=4)
+    entry, _ = pool.record_copy(pid(1), 3, payload=1)
     assert not pool.evict(pid(1), token=entry.token + 1)
     assert pid(1) in pool
     assert pool.evict(pid(1), entry.token)
-    assert pid(1) not in pool and pool.items == 0
+    assert pid(1) not in pool and pool.item_count() == 0
     assert not pool.evict(pid(1), entry.token)  # already gone
 
 
@@ -85,16 +83,18 @@ def test_items_tracks_total_hop_count():
     rng = random.Random(4)
     pool = PacketPool(lifetime=2.0)
     tokens = {}
-    for step in range(3000):
+    hops: dict[PacketId, set[int]] = {}  # plain-set record of every copy kept
+    for _ in range(3000):
         p = pid(rng.randint(1, 40), source=rng.randint(0, 3))
         if p in pool and rng.random() < 0.2:
             pool.evict(p, tokens[p])
+            del hops[p]
         else:
-            entry, _ = pool.record_copy(
-                p, rng.randint(0, 30), step * 0.01, payload=1, payload_len=4
-            )
+            hop = rng.randint(0, 30)
+            entry, _ = pool.record_copy(p, hop, payload=1)
             tokens[p] = entry.token
-        assert pool.items == sum(card(e.prev_hops) for e in pool.entries.values())
+            hops.setdefault(p, set()).add(hop)
+        assert pool.item_count() == sum(len(h) for h in hops.values())
 
 
 # --------------------------------------------------------------------------
@@ -107,16 +107,16 @@ def test_receivers_union_advertised_neighbourhoods():
     v.note_hello(1, from_ids({0, 2}), now=0.0, horizon=10.0)
     v.note_hello(3, from_ids({0, 4}), now=0.0, horizon=10.0)
     pool = PacketPool(lifetime=2.0)
-    entry, _ = pool.record_copy(pid(1), 1, 0.0, payload=1, payload_len=4)
+    entry, _ = pool.record_copy(pid(1), 1, payload=1)
     assert receivers_of(entry, v) == from_ids({0, 2})
-    pool.record_copy(pid(1), 3, 0.1)
+    pool.record_copy(pid(1), 3)
     assert receivers_of(entry, v) == from_ids({0, 2, 4})
 
 
 def test_unknown_hop_counts_only_itself():
     v = NeighborView(owner=0)
     pool = PacketPool(lifetime=2.0)
-    entry, _ = pool.record_copy(pid(1), 7, 0.0, payload=1, payload_len=4)
+    entry, _ = pool.record_copy(pid(1), 7, payload=1)
     assert receivers_of(entry, v) == bit(7)
 
 
@@ -127,30 +127,31 @@ def test_own_relay_adds_own_neighbourhood():
     v.note_hello(1, 0, now=0.0, horizon=10.0)
     v.note_hello(2, 0, now=0.0, horizon=10.0)
     pool = PacketPool(lifetime=2.0)
-    entry, _ = pool.record_copy(pid(1), None, 0.0, payload=1, payload_len=4)
-    pool.record_copy(pid(1), 0, 0.1)  # own transmission recorded as a hop
+    entry, _ = pool.record_copy(pid(1), None, payload=1)
+    pool.record_copy(pid(1), 0)  # own transmission recorded as a hop
     assert receivers_of(entry, v) == from_ids({0, 1, 2})
 
 
 # --------------------------------------------------------------------------
-# TtlSet and ReceptionTable
+# ReceptionTable
 # --------------------------------------------------------------------------
 
 
-def test_ttl_set_expires_entries():
-    s = TtlSet(ttl=2.0)
-    s.add(pid(1), now=0.0)
-    assert s.contains(pid(1), now=1.9)
-    assert not s.contains(pid(1), now=2.1)
-    assert len(s) == 1  # contains only reads
-    s.prune(now=2.1)
-    assert len(s) == 0  # prune drops expired entries
+def test_reception_table_expires_entries():
+    t = ReceptionTable(ttl=2.0)
+    t.mark(pid(1), bit(4), now=0.0)
+    assert t.holders(pid(1), now=1.9) == bit(4)
+    assert t.holders(pid(1), now=2.0) == bit(4)  # the deadline itself still holds
+    assert t.holders(pid(1), now=2.1) == 0
+    assert pid(1) in t._holders  # holders only reads
+    t.prune(now=2.1)
+    assert pid(1) not in t._holders  # prune drops expired entries
 
 
-def test_ttl_set_rejects_bare_membership():
-    s = TtlSet(ttl=2.0)
+def test_reception_table_rejects_bare_membership():
+    t = ReceptionTable(ttl=2.0)
     with pytest.raises(TypeError):
-        pid(1) in s
+        pid(1) in t
 
 
 def test_reception_table_marks_and_expires():
@@ -172,9 +173,9 @@ def test_holder_estimates_leave_their_inputs_unchanged():
     v.note_hello(1, from_ids({0, 2}), now=0.0, horizon=10.0)
     v.note_hello(3, from_ids({0, 4}), now=0.0, horizon=10.0)
     pool = PacketPool(lifetime=2.0)
-    entry, _ = pool.record_copy(pid(1), 1, 0.0, payload=1, payload_len=4)
-    pool.record_copy(pid(1), 7, 0.1)  # a hop the view does not know
-    pool.record_copy(pid(1), 0, 0.2)  # the owner itself
+    entry, _ = pool.record_copy(pid(1), 1, payload=1)
+    pool.record_copy(pid(1), 7)  # a hop the view does not know
+    pool.record_copy(pid(1), 0)  # the owner itself
     before = dataclasses.asdict(entry), dataclasses.asdict(v)
     assert receivers_of(entry, v) == from_ids({0, 1, 2, 3, 7})
     assert (dataclasses.asdict(entry), dataclasses.asdict(v)) == before
@@ -197,13 +198,11 @@ def test_holder_estimates_leave_their_inputs_unchanged():
 
 def test_encode_validates_inputs():
     with pytest.raises(ValueError):
-        encode([], [], [], tx_node=0)
-    with pytest.raises(ValueError):
-        encode([header(pid(1)), header(pid(2))], [1, 2], [4, 8], tx_node=0)
+        encode([], [], 4, tx_node=0)
 
 
 def test_encode_xors_payloads():
-    pkt = encode([header(pid(1)), header(pid(2))], [0b1100, 0b1010], [4, 4], tx_node=7)
+    pkt = encode([header(pid(1)), header(pid(2))], [0b1100, 0b1010], 4, tx_node=7)
     assert pkt.payload == 0b0110 and pkt.encoded and pkt.tx_node == 7
 
 
@@ -213,12 +212,12 @@ def test_decode_recovers_single_missing_constituent():
         k = rng.randint(1, 6)
         pids = [pid(i + 1, source=rng.randint(0, 2) * 3) for i in range(k)]
         payloads = [rng.getrandbits(128) for _ in range(k)]
-        pkt = encode([header(p) for p in pids], payloads, [16] * k, tx_node=0)
+        pkt = encode([header(p) for p in pids], payloads, 16, tx_node=0)
         missing_i = rng.randrange(k)
         pool = PacketPool(lifetime=5.0)
         for i, (p, pay) in enumerate(zip(pids, payloads)):
             if i != missing_i:
-                pool.record_copy(p, 1, 0.0, payload=pay, payload_len=16)
+                pool.record_copy(p, 1, payload=pay)
         res = decode(pkt, pool)
         assert res.ok
         assert res.recovered_pid == pids[missing_i]
@@ -227,17 +226,17 @@ def test_decode_recovers_single_missing_constituent():
 
 def test_decode_with_nothing_missing_is_trivial():
     pool = PacketPool(lifetime=5.0)
-    pool.record_copy(pid(1), 1, 0.0, payload=3, payload_len=4)
-    pkt = encode([header(pid(1))], [3], [4], tx_node=0)
+    pool.record_copy(pid(1), 1, payload=3)
+    pkt = encode([header(pid(1))], [3], 4, tx_node=0)
     res = decode(pkt, pool)
     assert res.ok and res.recovered_pid is None
 
 
 def test_decode_fails_with_two_unknowns():
     pool = PacketPool(lifetime=5.0)
-    pool.record_copy(pid(1), 1, 0.0, payload=3, payload_len=4)
+    pool.record_copy(pid(1), 1, payload=3)
     pkt = encode(
-        [header(pid(1)), header(pid(2)), header(pid(3))], [3, 5, 9], [4] * 3, tx_node=0
+        [header(pid(1)), header(pid(2)), header(pid(3))], [3, 5, 9], 4, tx_node=0
     )
     res = decode(pkt, pool)
     assert not res.ok
@@ -249,7 +248,7 @@ def test_decode_fails_with_two_unknowns():
 # --------------------------------------------------------------------------
 
 
-def _detect(one_hop, known, seed_pid, queue, include_gratis=True, allow_pair=False):
+def _detect(one_hop, known, seed_pid, queue, allow_pair=False):
     v = NeighborView(owner=99)
     for u in one_hop:
         v.note_hello(u, 0, now=0.0, horizon=10.0)
@@ -258,21 +257,20 @@ def _detect(one_hop, known, seed_pid, queue, include_gratis=True, allow_pair=Fal
         queue,
         v,
         lambda p: known[p],
-        include_gratis,
         allow_pair,
     )
 
 
 def test_detect_admits_complementary_pair():
     known = {pid(1): bit(1), pid(2): bit(2)}
-    queue = [queued(pid(2), deadline=1.0, seq=0, gratis=False)]
+    queue = [queued(pid(2), deadline=1.0, token=0, gratis=False)]
     plan = _detect({1, 2}, known, pid(1), queue)
     assert [i.pid for i in plan] == [pid(1), pid(2)]
 
 
 def test_detect_rejects_when_someone_misses_two():
     known = {pid(1): bit(1), pid(2): bit(1)}  # node 2 misses both
-    queue = [queued(pid(2), deadline=1.0, seq=0, gratis=False)]
+    queue = [queued(pid(2), deadline=1.0, token=0, gratis=False)]
     plan = _detect({1, 2}, known, pid(1), queue)
     assert len(plan) == 1
 
@@ -282,8 +280,8 @@ def test_detect_scans_by_deadline_then_seq():
     # expiring first must win the slot
     known = {pid(1): bit(1), pid(2): bit(2), pid(3): bit(2)}
     queue = [
-        queued(pid(3), deadline=2.0, seq=5, gratis=False),
-        queued(pid(2), deadline=1.0, seq=9, gratis=False),
+        queued(pid(3), deadline=2.0, token=5, gratis=False),
+        queued(pid(2), deadline=1.0, token=9, gratis=False),
     ]
     plan = _detect({1, 2}, known, pid(1), queue)
     assert [i.pid for i in plan] == [pid(1), pid(2)]
@@ -291,14 +289,14 @@ def test_detect_scans_by_deadline_then_seq():
 
 def test_detect_skips_seed_duplicate_in_queue():
     known = {pid(1): bit(1)}
-    queue = [queued(pid(1), deadline=1.0, seq=0, gratis=False)]
+    queue = [queued(pid(1), deadline=1.0, token=0, gratis=False)]
     plan = _detect({1, 2}, known, pid(1), queue)
     assert len(plan) == 1
 
 
 def test_gratis_joins_only_established_plans():
     known = {pid(1): bit(1), pid(2): bit(2)}
-    queue = [queued(pid(2), deadline=1.0, seq=0, gratis=True)]
+    queue = [queued(pid(2), deadline=1.0, token=0, gratis=True)]
     plan = _detect({1, 2}, known, pid(1), queue)
     assert len(plan) == 1  # a lone native cannot pair with gratis by default
     plan = _detect({1, 2}, known, pid(1), queue, allow_pair=True)
@@ -308,8 +306,8 @@ def test_gratis_joins_only_established_plans():
 def test_gratis_skipped_once_everyone_holds_it():
     known = {pid(1): bit(1), pid(2): bit(2), pid(3): from_ids({1, 2})}
     queue = [
-        queued(pid(2), deadline=1.0, seq=0, gratis=False),
-        queued(pid(3), deadline=2.0, seq=1, gratis=True),
+        queued(pid(2), deadline=1.0, token=0, gratis=False),
+        queued(pid(3), deadline=2.0, token=1, gratis=True),
     ]
     plan = _detect({1, 2}, known, pid(1), queue)
     # pid(3) is estimated at every neighbour: coding it adds risk, no gain
@@ -324,9 +322,9 @@ def test_native_scan_runs_before_gratis_scan():
         pid(4): bit(2),
     }
     queue = [
-        queued(pid(4), deadline=0.5, seq=0, gratis=True),
-        queued(pid(2), deadline=1.0, seq=1, gratis=False),
-        queued(pid(3), deadline=2.0, seq=2, gratis=True),
+        queued(pid(4), deadline=0.5, token=0, gratis=True),
+        queued(pid(2), deadline=1.0, token=1, gratis=False),
+        queued(pid(3), deadline=2.0, token=2, gratis=True),
     ]
     plan = _detect({1, 2, 3}, known, pid(1), queue)
     # the native join happens first even though a gratis member expires
@@ -349,17 +347,12 @@ def test_detected_plans_always_decodable_everywhere():
         pids = [pid(i + 1, source=i % 3) for i in range(n_pkts)]
         known = {p: from_ids(s for s in one_hop if rng.random() < 0.6) for p in pids}
         queue = [
-            queued(p, rng.uniform(0, 3), seq, rng.random() < 0.3)
-            for seq, p in enumerate(pids[1:], start=1)
+            queued(p, rng.uniform(0, 3), token, rng.random() < 0.3)
+            for token, p in enumerate(pids[1:], start=1)
         ]
-        include_gratis = rng.random() < 0.7
-        plan = _detect(
-            one_hop, known, pids[0], queue, include_gratis, rng.random() < 0.5
-        )
+        plan = _detect(one_hop, known, pids[0], queue, rng.random() < 0.5)
         assert plan[0].pid == pids[0]
         assert len({i.pid for i in plan}) == len(plan)
-        if not include_gratis:
-            assert all(not i.gratis for i in plan[1:])
         for nbr in one_hop:
             short = sum(1 for i in plan if not known[i.pid] & bit(nbr))
             assert short <= 1
@@ -375,7 +368,7 @@ def test_mark_gratis_rules():
     v.note_hello(1, 0, now=0.0, horizon=10.0)
     v.note_hello(2, 0, now=0.0, horizon=10.0)
     pool = PacketPool(lifetime=2.0)
-    entry, _ = pool.record_copy(pid(1), 1, 0.0, payload=1, payload_len=4)
+    entry, _ = pool.record_copy(pid(1), 1, payload=1)
     assert mark_gratis(entry, v)  # node 2 not estimated
     # two mutually-neighbouring hops: their advertisements cover each other,
     # so every current neighbour is estimated to hold the packet
@@ -383,6 +376,6 @@ def test_mark_gratis_rules():
     v2.note_hello(1, from_ids({0, 2}), now=0.0, horizon=10.0)
     v2.note_hello(2, from_ids({0, 1}), now=0.0, horizon=10.0)
     pool2 = PacketPool(2.0)
-    entry2, _ = pool2.record_copy(pid(2), 1, 0.0, payload=1, payload_len=4)
-    pool2.record_copy(pid(2), 2, 0.1)
+    entry2, _ = pool2.record_copy(pid(2), 1, payload=1)
+    pool2.record_copy(pid(2), 2)
     assert not mark_gratis(entry2, v2)

@@ -1,9 +1,11 @@
 """Config parsing: every value is coerced by its field's annotated type."""
 import dataclasses
+import math
 
 import pytest
 
 from nobcr.config import Coding, ConfigError, Pruning, ScenarioConfig, Termination
+from nobcr.engine import Simulation
 
 REQUIRED = {"n_nodes": "30", "area_side": "500", "sim_duration": "20", "n_sources": "3"}
 
@@ -39,8 +41,23 @@ def test_every_field_round_trips_through_to_mapping():
         ("rad_max", "fast", "expected a number"),
         ("coding", "zip", "not one of"),
         ("log_events", "true", "unknown config keys"),  # a SimLog is passed in, not configured
+        ("preconverged_views", "true", "unknown config keys"),  # follows from hello_enabled
     ],
 )
 def test_bad_values_and_keys_are_rejected(key, raw, message):
     with pytest.raises(ConfigError, match=message):
         ScenarioConfig.from_mapping({**REQUIRED, key: raw})
+
+
+def test_views_start_from_the_true_adjacency_when_hellos_are_off():
+    # without hellos nothing ever fills a view, so it starts converged
+    cfg = ScenarioConfig.from_mapping({**REQUIRED, "hello_enabled": "off"})
+    sim = Simulation(cfg)
+    pos = sim.positions
+    adj = [
+        {j for j in range(cfg.n_nodes) if j != i and math.dist(pos[i], pos[j]) <= cfg.tx_range}
+        for i in range(cfg.n_nodes)
+    ]
+    for node in sim.nodes:
+        assert node.view.one_hop == sum(1 << j for j in adj[node.id])
+        assert node.view.neigh_of == {u: sum(1 << j for j in adj[u]) for u in adj[node.id]}

@@ -25,7 +25,6 @@ IDEAL = ScenarioConfig(
     pkt_rate=2.0,
     collisions=False,
     hello_enabled=False,
-    preconverged_views=True,
     seed=1,
 )
 

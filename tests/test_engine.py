@@ -392,7 +392,6 @@ def test_recurring_traffic_respects_cutoff():
         n_sources=3,
         sim_duration=20.0,
         hello_enabled=True,
-        preconverged_views=True,
         collisions=False,
     )
     m = run_config(config)

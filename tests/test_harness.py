@@ -12,7 +12,6 @@ from scipy import stats
 import nobcr
 from nobcr.config import ConfigError
 from nobcr.harness import (
-    _METRIC_COLUMNS,
     RAW_SCHEMA,
     aggregate,
     build_tasks,
@@ -26,6 +25,7 @@ from nobcr.harness import (
     write_delay_cdfs,
     write_raw_csv,
 )
+from nobcr.metrics import SUMMARY_COLUMNS
 from nobcr.presets import PRESETS
 
 TINY = {
@@ -37,7 +37,6 @@ TINY = {
     "traffic_delay": 0.5,
     "traffic_cutoff": 1.0,
     "hello_enabled": False,
-    "preconverged_views": True,
     "collisions": False,
 }
 
@@ -118,7 +117,7 @@ class TestRunTasks:
 
     def test_run_one_row_shape(self):
         row = run_one(tiny_task())
-        for column in ("experiment", "variant", "sweep", "seed", *_METRIC_COLUMNS):
+        for column in ("experiment", "variant", "sweep", "seed", *SUMMARY_COLUMNS):
             assert column in row
         assert isinstance(row["_delays"], list)
         assert row["generated"] > 0
@@ -191,7 +190,7 @@ def test_importing_the_package_loads_no_numeric_library():
 
 def synth_row(variant, sweep, seed, **metrics):
     row = {"experiment": "x", "variant": variant, "sweep": sweep, "seed": seed}
-    for column in _METRIC_COLUMNS:
+    for column in SUMMARY_COLUMNS:
         row[column] = 0.0
     row.update(metrics)
     return row
@@ -231,7 +230,7 @@ class TestCsvRoundTrip:
         assert lines[0] == RAW_SCHEMA
         header = lines[1].split(",")
         assert header[:4] == ["experiment", "variant", "sweep", "seed"]
-        assert header[4:] == _METRIC_COLUMNS
+        assert header[4:] == SUMMARY_COLUMNS
         assert "decode_late" in header
         assert len(lines) == 4
 
@@ -269,7 +268,7 @@ class TestCsvRoundTrip:
         header = lines[1].split(",")
         assert header[:4] == ["experiment", "variant", "sweep", "n_seeds"]
         assert header[4:6] == ["generated_mean", "generated_ci95"]
-        assert len(header) == 4 + 2 * len(_METRIC_COLUMNS)
+        assert len(header) == 4 + 2 * len(SUMMARY_COLUMNS)
 
 
 class TestDelayCdfs:

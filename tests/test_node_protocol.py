@@ -237,7 +237,40 @@ def test_repeat_gratis_copies_are_ignored():
     assert rads(a1)  # buffered gratis: neighbour 2 is not estimated to hold p
     a2 = node.on_receive(gratis_pkt(p, tx_node=2), now=1.1)
     assert not rads(a2)
-    assert log.filter(kind="gratis-dup")
+    assert len(log.filter(kind="gratis-dup")) == 1
+    # the pool entry is what makes a copy a repeat: once the first copy's
+    # eviction has run, the next gratis copy is new again
+    (evict,) = [a for a in a1 if isinstance(a, SchedulePoolEvict)]
+    (rad,) = rads(a1)
+    node.on_rad_expiry(p, rad.token, now=rad.at)
+    node.on_pool_evict(p, evict.token, now=evict.at)
+    a3 = node.on_receive(gratis_pkt(p, tx_node=2), now=evict.at)
+    assert rads(a3) and node.queue[p].gratis
+    assert len(log.filter(kind="gratis-dup")) == 1
+
+
+@pytest.mark.parametrize("gratis_rule_off", [False, True])
+def test_no_gratis_entry_queued_without_coded_redundancy(gratis_rule_off):
+    log = SimLog()
+    node = make_node(
+        0, neighbors={1: 0, 2: 0, 3: 0}, log=log,
+        coded_redundancy=False, gratis_rule_off=gratis_rule_off,
+    )
+    p1, p2, p3, p4 = (PacketId(s, 1) for s in (4, 5, 6, 7))
+    arrivals = [
+        native(p1, forwarders=bit(0), tx_node=1),  # elected: queued natively
+        native(p2, forwarders=bit(5), tx_node=1),  # not elected
+        gratis_pkt(p3, tx_node=2),
+        xor_pkt([p1, p4], gratis={p4}, tx_node=3),  # decodes p4 as gratis
+    ]
+    for i, pkt in enumerate(arrivals):
+        node.on_receive(pkt, now=1.0 + 0.01 * i)
+        assert not any(q.gratis for q in node.queue.values())
+    assert set(node.queue) == {p1} and {p2, p3, p4} <= set(node.pool.entries)
+    kind = "drop-notfwd" if gratis_rule_off else "gratis-ignored"
+    assert len(log.filter(kind=kind)) == (3 if gratis_rule_off else 2)
+    (tx,) = transmits(node.on_rad_expiry(p1, node.queue[p1].token, now=2.0))
+    assert [(c.pid, c.gratis) for c in tx.packet.constituents] == [(p1, False)]
 
 
 def test_gratis_not_buffered_without_audience():

@@ -29,7 +29,6 @@ MINIMAL = {
         "sim_duration": 1.0,
         "n_sources": 1,
         "hello_enabled": False,
-        "preconverged_views": True,
     },
     "positions": [[0, 0], [100, 0], [200, 0]],
     "injections": [{"time": 0.1, "source": 0, "sn": 1}],

@@ -1,19 +1,14 @@
-"""Termination criteria: window bitmap, classic per-source values, mark set."""
+"""Termination criteria: window bitmap, classic per-source values, mark table."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nobcr.config import Termination
-from nobcr.model import NeighborView, PacketId, TtlSet, from_ids
-from nobcr.termination import (
-    Decision,
-    SourceWindow,
-    TerminationState,
-    mcu_relay_or_not,
-    mu_check,
-)
+from nobcr.model import NeighborView, PacketId, bit
+from nobcr.termination import Decision, SourceWindow, TerminationState, mcu_relay_or_not
 
-from oracles import FullHistoryDedup, rebuild_window_bitmap, reordered_sn_stream
+from oracles import FullHistoryDedup, PairMarks, rebuild_window_bitmap, reordered_sn_stream
 
 RELAY = Decision.RELAY_ELIGIBLE
 DROP = Decision.DROP
@@ -166,44 +161,85 @@ def test_cu_decision_stream_matches_running_max():
 
 
 # --------------------------------------------------------------------------
-# M/U marks: a TtlSet of (neighbour, packet) pairs
+# M/U marks: a ReceptionTable of the transmitters heard sending each packet
 # --------------------------------------------------------------------------
 
 
 def test_marks_expire_and_reenable_relay():
-    marks = TtlSet(ttl=5.0)
-    nbrs = from_ids({1, 2})
+    mu = TerminationState(Termination.MU, mark_expiry=5.0)
+    v = _view(one_hop={1, 2})
     p = pid(1, source=9)
-    assert mu_check(p, marks, nbrs, now=0.0) is RELAY
-    marks.add((1, p), now=0.0)
-    assert mu_check(p, marks, nbrs, now=1.0) is RELAY  # 2 still unmarked
-    marks.add((2, p), now=1.0)
-    assert mu_check(p, marks, nbrs, now=2.0) is DROP
-    assert mu_check(p, marks, nbrs, now=5.0) is DROP  # node 1 mark lives to 5.0
-    assert mu_check(p, marks, nbrs, now=5.1) is RELAY  # ...then 1 counts as unmarked
+    assert mu.check(p, 0.0, v) is RELAY
+    mu.observe_transmitter(1, p, now=0.0)
+    assert mu.check(p, 1.0, v) is RELAY  # 2 still unmarked
+    mu.observe_transmitter(2, p, now=1.0)
+    assert mu.check(p, 2.0, v) is DROP
+    assert mu.check(p, 5.0, v) is DROP  # node 1 mark lives to 5.0
+    assert mu.check(p, 5.1, v) is RELAY  # ...then 1 counts as unmarked
 
 
 def test_mu_new_neighbour_reopens_relay():
-    marks = TtlSet(ttl=5.0)
+    mu = TerminationState(Termination.MU, mark_expiry=5.0)
     p = pid(1)
-    marks.add((1, p), now=0.0)
-    assert mu_check(p, marks, from_ids({1}), now=1.0) is DROP
-    assert mu_check(p, marks, from_ids({1, 3}), now=1.0) is RELAY
+    mu.observe_transmitter(1, p, now=0.0)
+    assert mu.check(p, 1.0, _view(one_hop={1})) is DROP
+    assert mu.check(p, 1.0, _view(one_hop={1, 3})) is RELAY
 
 
 def test_mu_with_no_neighbours_drops():
-    marks = TtlSet(ttl=5.0)
-    assert mu_check(pid(1), marks, 0, now=0.0) is DROP
+    mu = TerminationState(Termination.MU, mark_expiry=5.0)
+    assert mu.check(pid(1), 0.0, _view()) is DROP
 
 
 def test_mark_prune_removes_expired_only():
-    marks = TtlSet(ttl=2.0)
-    marks.add((1, pid(1)), now=0.0)
-    marks.add((2, pid(1)), now=3.0)
-    marks.prune(now=2.5)
-    assert len(marks) == 1
-    assert marks.contains((2, pid(1)), now=4.0)
-    assert not marks.contains((1, pid(1)), now=4.0)
+    mu = TerminationState(Termination.MU, mark_expiry=2.0)
+    mu.observe_transmitter(1, pid(1), now=0.0)
+    mu.observe_transmitter(2, pid(1), now=3.0)
+    mu.prune(now=2.5)
+    assert mu.marks._holders == {pid(1): {2: 5.0}}
+    assert mu.marks.holders(pid(1), now=4.0) == bit(2)
+
+
+_TIME_STEPS = st.sampled_from([0.0, 0.05, 0.1, 0.2, 0.25])
+
+
+@settings(deadline=None)
+@given(
+    steps=st.lists(
+        st.one_of(
+            st.tuples(st.just("mark"), _TIME_STEPS, st.integers(0, 4), st.integers(1, 3)),
+            st.tuples(
+                st.just("check"), _TIME_STEPS, st.sets(st.integers(0, 4)), st.integers(1, 3)
+            ),
+            st.tuples(st.just("prune"), _TIME_STEPS, st.just(0), st.just(0)),
+        ),
+        max_size=60,
+    )
+)
+def test_mu_decisions_match_pair_marks(steps):
+    """Marks, checks and prunes at non-decreasing times decide as the plain
+    (neighbour, packet) -> deadline dict does, and prune keeps exactly the
+    marks the dict keeps."""
+    ttl = 0.2  # the steps land on deadlines exactly as well as either side
+    mu = TerminationState(Termination.MU, mark_expiry=ttl)
+    oracle = PairMarks(ttl)
+    now = 0.0
+    for op, dt, arg, sn in steps:
+        now += dt
+        p = pid(sn, source=7)
+        if op == "mark":
+            mu.observe_transmitter(arg, p, now)
+            oracle.mark(arg, p, now)
+        elif op == "check":
+            v = _view(owner=9, one_hop=arg)
+            want = RELAY if oracle.relay(arg, p, now) else DROP
+            assert mu.check(p, now, v) is want
+            assert mu.stale_at_expiry(p, now, v) is (want is DROP)
+        else:
+            mu.prune(now)
+            oracle.prune(now)
+            kept = {(u, q): d for q, slot in mu.marks._holders.items() for u, d in slot.items()}
+            assert kept == oracle.deadlines
 
 
 # --------------------------------------------------------------------------
