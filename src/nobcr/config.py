@@ -128,6 +128,9 @@ class ScenarioConfig:
             raise ConfigError("speed_max must be >= speed_min")
         if self.speed_max > 0 and self.speed_min <= 0:
             raise ConfigError("speed_min must be positive when speed_max > 0")
+        if self.speed_max > 0 and not self.hello_enabled:
+            # views would keep the t=0 adjacency while the nodes move
+            raise ConfigError("hello_enabled must be true when speed_max > 0")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
 

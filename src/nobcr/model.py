@@ -52,6 +52,19 @@ class ReceptionTable:
     marked.  :meth:`holders` only reads, so an expired entry reads as absent
     until :meth:`prune` deletes it.
 
+    Layout: per packet, a list of ``(deadline, mask)`` generations in
+    ascending deadline order, and each node sits only in the newest
+    generation that marked it.  A mark removes its nodes from the older
+    generations, drops those it empties, and then ORs its nodes into the last
+    generation when the deadlines are equal or appends a new one.  So the
+    table stores no more (node, packet) entries than a per-node dict would,
+    and every operation costs per generation, not per node.
+
+    Precondition: each packet is marked at non-decreasing times (a node
+    calls its table at its own event times), so deadlines only grow;
+    :meth:`mark` raises ``ValueError`` on a deadline below the packet's last
+    one.
+
     Two users share it.  The reception-table coding detector marks every
     constituent of an overheard transmission as held by the transmitter and
     by the current neighbours known to be in its range.  The M/U termination
@@ -59,44 +72,54 @@ class ReceptionTable:
     while some current neighbour is unmarked.
     """
 
-    __slots__ = ("ttl", "_holders")
+    __slots__ = ("ttl", "_gens")
 
     def __init__(self, ttl: float):
         self.ttl = ttl
-        self._holders: dict[PacketId, dict[int, float]] = {}
+        self._gens: dict[PacketId, list[tuple[float, NodeSet]]] = {}
 
     def mark(self, pid: PacketId, holders: NodeSet, now: float) -> None:
-        slot = self._holders.get(pid)
-        if slot is None:
-            slot = self._holders[pid] = {}
         deadline = now + self.ttl
-        for u in members(holders):
-            slot[u] = deadline
+        gens = self._gens.get(pid)
+        if gens is None:
+            self._gens[pid] = [(deadline, holders)]
+            return
+        last = gens[-1][0]
+        if deadline < last:
+            raise ValueError(
+                f"mark of {pid} at {now}: deadline {deadline} precedes the last one, {last}"
+            )
+        others = ~holders
+        kept = [(d, m & others) for d, m in gens if m & others]
+        if kept and kept[-1][0] == deadline:
+            holders |= kept.pop()[1]
+        kept.append((deadline, holders))
+        self._gens[pid] = kept
 
     def holders(self, pid: PacketId, now: float) -> NodeSet:
-        slot = self._holders.get(pid)
-        if not slot:
-            return 0
         mask = 0
-        for u, deadline in slot.items():
-            if deadline >= now:
-                mask |= 1 << u
+        for deadline, gen in reversed(self._gens.get(pid, ())):
+            if deadline < now:
+                break
+            mask |= gen
         return mask
 
     def prune(self, now: float) -> None:
         dead_pids = []
-        for pid, slot in self._holders.items():
-            stale = [u for u, d in slot.items() if d < now]
-            for u in stale:
-                del slot[u]
-            if not slot:
+        for pid, gens in self._gens.items():
+            if gens[-1][0] < now:
                 dead_pids.append(pid)
+            elif gens[0][0] < now:
+                i = 1
+                while gens[i][0] < now:
+                    i += 1
+                del gens[:i]
         for pid in dead_pids:
-            del self._holders[pid]
+            del self._gens[pid]
 
     def item_count(self, now: float) -> int:
         self.prune(now)
-        return sum(len(slot) for slot in self._holders.values())
+        return sum(gen.bit_count() for gens in self._gens.values() for _, gen in gens)
 
 
 @dataclass(slots=True)

@@ -223,8 +223,9 @@ class Node:
         # rule is disabled for comparison runs; their empty forwarder set then
         # walks into the termination structures like any other copy)
         # No extra once-only guard here: MC/U, C/U and R/U state already
-        # suppress re-relays, and M/U is allowed to relay a packet again once
-        # its neighbour marks have expired (its known weakness under load).
+        # suppress re-relays.  M/U relays again whenever it is elected while
+        # some current neighbour has not itself been heard sending the packet
+        # (its own send marks nothing), long before any mark expires.
         decision = self.term.check(c.pid, now, self.view)
         if decision is Decision.DROP:
             self._logev(now, "drop-term", c.pid)

@@ -149,7 +149,7 @@ class TerminationState:
         for src in sorted(self.sn_last):
             h.update(f"c{src}:{self.sn_last[src]};".encode())
         if self.marks is not None:
-            for pid, slot in sorted(self.marks._holders.items()):
-                for u, deadline in sorted(slot.items()):
-                    h.update(f"m{pid}:{u}:{deadline};".encode())
+            for pid, gens in sorted(self.marks._gens.items()):
+                for deadline, mask in gens:
+                    h.update(f"m{pid}:{deadline}:{mask};".encode())
         return h.hexdigest()

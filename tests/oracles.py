@@ -65,25 +65,26 @@ def reordered_sn_stream(rng: random.Random, n: int, k: int, stale_frac: float = 
 
 
 class PairMarks:
-    """M/U neighbour marks as a plain ``(neighbour, pid) -> deadline`` dict.
+    """Reception-table marks as a plain ``(node, pid) -> deadline`` dict.
 
     A mark lasts until ``ttl`` seconds after it was last set: it counts while
-    ``now <= deadline`` and pruning deletes it once ``deadline < now``.  A
-    packet is relayed while some current neighbour has no mark that counts.
+    ``now <= deadline`` and pruning deletes it once ``deadline < now``.  Under
+    M/U the nodes are neighbours heard sending, and a packet is relayed while
+    some current neighbour has no mark that counts.
     """
 
     def __init__(self, ttl: float):
         self.ttl = ttl
         self.deadlines: dict[tuple[int, object], float] = {}
 
-    def mark(self, neighbour: int, pid, now: float) -> None:
-        self.deadlines[(neighbour, pid)] = now + self.ttl
+    def mark(self, node: int, pid, now: float) -> None:
+        self.deadlines[(node, pid)] = now + self.ttl
+
+    def holders(self, pid, now: float) -> set[int]:
+        return {n for (n, q), d in self.deadlines.items() if q == pid and now <= d}
 
     def relay(self, neighbours: set[int], pid, now: float) -> bool:
-        return any(
-            (n, pid) not in self.deadlines or now > self.deadlines[(n, pid)]
-            for n in neighbours
-        )
+        return bool(neighbours - self.holders(pid, now))
 
     def prune(self, now: float) -> None:
         for key in [k for k, d in self.deadlines.items() if d < now]:

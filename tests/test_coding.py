@@ -4,6 +4,7 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nobcr.coding import (
     OutEntry,
@@ -24,6 +25,8 @@ from nobcr.model import (
     from_ids,
     members,
 )
+
+from oracles import PairMarks
 
 
 def pid(sn, source=0):
@@ -143,9 +146,9 @@ def test_reception_table_expires_entries():
     assert t.holders(pid(1), now=1.9) == bit(4)
     assert t.holders(pid(1), now=2.0) == bit(4)  # the deadline itself still holds
     assert t.holders(pid(1), now=2.1) == 0
-    assert pid(1) in t._holders  # holders only reads
+    assert pid(1) in t._gens  # holders only reads
     t.prune(now=2.1)
-    assert pid(1) not in t._holders  # prune drops expired entries
+    assert pid(1) not in t._gens  # prune drops expired entries
 
 
 def test_reception_table_rejects_bare_membership():
@@ -166,6 +169,67 @@ def test_reception_table_marks_and_expires():
     assert t.item_count(now=7.5) == 0
 
 
+def test_reception_table_rejects_marks_back_in_time():
+    t = ReceptionTable(ttl=2.0)
+    t.mark(pid(1), bit(1), now=1.0)
+    t.mark(pid(1), bit(2), now=1.0)  # an equal deadline joins the last generation
+    assert t._gens == {pid(1): [(3.0, from_ids({1, 2}))]}
+    with pytest.raises(ValueError):
+        t.mark(pid(1), bit(3), now=0.5)
+    t.mark(pid(2), bit(3), now=0.5)  # the order is kept per packet
+    assert t.holders(pid(1), now=3.0) == from_ids({1, 2})
+
+
+# multiples of 1/8 add exactly, so steps land on deadlines as well as either side
+_TABLE_STEPS = st.sampled_from([0.0, 0.0, 0.125, 0.25, 0.25])
+
+
+@settings(deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(["mark", "mark", "mark", "prune", "count"]),
+            _TABLE_STEPS,
+            st.integers(1, 2),
+            st.sets(st.integers(0, 5)),
+        ),
+        max_size=60,
+    )
+)
+# three generations of one packet, pruned exactly at the middle one's deadline
+@example(steps=[("mark", 0.0, 1, {1}), ("mark", 0.25, 1, {2}), ("mark", 0.25, 1, {3}),
+                ("prune", 0.25, 1, set())])
+# two live generations of one packet, counted
+@example(steps=[("mark", 0.0, 1, {1}), ("mark", 0.25, 1, {2}), ("count", 0.0, 1, set())])
+def test_reception_table_matches_pair_deadlines(steps):
+    """Multi-node marks, reads and prunes at non-decreasing times, often at
+    one instant, read as the plain (node, pid) -> deadline dict does; the
+    holders of every packet are read after each step."""
+    t = ReceptionTable(ttl=0.5)
+    oracle = PairMarks(0.5)
+    now = 0.0
+    for op, dt, sn, nodes in steps:
+        now += dt
+        p = pid(sn)
+        if op == "mark":
+            t.mark(p, from_ids(nodes), now)
+            for u in nodes:
+                oracle.mark(u, p, now)
+        else:
+            oracle.prune(now)
+            if op == "prune":
+                t.prune(now)
+                for gens in t._gens.values():  # live, and a node in one generation only
+                    seen = 0
+                    for d, mask in gens:
+                        assert d >= now and not mask & seen
+                        seen |= mask
+            else:
+                assert t.item_count(now) == len(oracle.deadlines)
+        for q in (pid(1), pid(2)):
+            assert t.holders(q, now) == from_ids(oracle.holders(q, now))
+
+
 def test_holder_estimates_leave_their_inputs_unchanged():
     # a gratis RAD expiry with no native queued skips plan detection; that is
     # exact only because estimating holders writes to nothing it reads
@@ -184,11 +248,11 @@ def test_holder_estimates_leave_their_inputs_unchanged():
     t.mark(pid(1), from_ids({2, 3}), now=0.0)
     t.mark(pid(1), bit(4), now=3.0)
     t.mark(pid(2), bit(5), now=0.0)
-    before = copy.deepcopy(t._holders)
+    before = copy.deepcopy(t._gens)
     for now in (0.0, 4.0, 6.0, 9.0):  # before, between and after the expiries
         for p in (pid(1), pid(2), pid(3)):
             t.holders(p, now)
-    assert t._holders == before
+    assert t._gens == before
 
 
 # --------------------------------------------------------------------------

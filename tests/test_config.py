@@ -49,6 +49,15 @@ def test_bad_values_and_keys_are_rejected(key, raw, message):
         ScenarioConfig.from_mapping({**REQUIRED, key: raw})
 
 
+def test_hellos_off_requires_static_nodes():
+    # views would keep the t=0 adjacency for the whole run while nodes move
+    moving = {**REQUIRED, "speed_min": "1", "speed_max": "5"}
+    with pytest.raises(ConfigError, match="hello_enabled"):
+        ScenarioConfig.from_mapping({**moving, "hello_enabled": "off"})
+    assert ScenarioConfig.from_mapping(moving).hello_enabled
+    assert not ScenarioConfig.from_mapping({**REQUIRED, "hello_enabled": "off"}).hello_enabled
+
+
 def test_views_start_from_the_true_adjacency_when_hellos_are_off():
     # without hellos nothing ever fills a view, so it starts converged
     cfg = ScenarioConfig.from_mapping({**REQUIRED, "hello_enabled": "off"})

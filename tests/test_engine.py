@@ -344,7 +344,7 @@ def test_waypoint_speed_matches_harmonic_average():
 def test_leg_cache_positions_equal_waypoint_positions(n, seed, speed_min, speed_span, pause, data):
     config = cfg(n_nodes=n, n_sources=0, area_side=400.0, seed=seed, mac_jitter=0.02,
                  speed_min=speed_min, speed_max=speed_min + speed_span, pause_time=pause,
-                 mobility_warmup=5.0)
+                 mobility_warmup=5.0, hello_enabled=True)
     sim = Simulation(config)
 
     def walkers():

@@ -167,6 +167,7 @@ class TestLoadScript:
         body["adjacency"] = [[0, 1]]
         body["config"]["speed_min"] = 1.0
         body["config"]["speed_max"] = 2.0
+        body["config"]["hello_enabled"] = True  # moving nodes need hellos
         with pytest.raises(ScriptError, match="static"):
             load_script(_write(tmp_path, body))
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nobcr.config import Termination
-from nobcr.model import NeighborView, PacketId, bit
+from nobcr.model import NeighborView, PacketId, bit, members
 from nobcr.termination import Decision, SourceWindow, TerminationState, mcu_relay_or_not
 
 from oracles import FullHistoryDedup, PairMarks, rebuild_window_bitmap, reordered_sn_stream
@@ -196,7 +196,7 @@ def test_mark_prune_removes_expired_only():
     mu.observe_transmitter(1, pid(1), now=0.0)
     mu.observe_transmitter(2, pid(1), now=3.0)
     mu.prune(now=2.5)
-    assert mu.marks._holders == {pid(1): {2: 5.0}}
+    assert mu.marks._gens == {pid(1): [(5.0, bit(2))]}
     assert mu.marks.holders(pid(1), now=4.0) == bit(2)
 
 
@@ -238,7 +238,13 @@ def test_mu_decisions_match_pair_marks(steps):
         else:
             mu.prune(now)
             oracle.prune(now)
-            kept = {(u, q): d for q, slot in mu.marks._holders.items() for u, d in slot.items()}
+            # a node's deadline is that of the newest generation holding it
+            kept = {
+                (u, q): d
+                for q, gens in mu.marks._gens.items()
+                for d, mask in gens
+                for u in members(mask)
+            }
             assert kept == oracle.deadlines
 
 
