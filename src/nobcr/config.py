@@ -79,12 +79,10 @@ class ScenarioConfig:
     coded_redundancy: bool = True
     pruning: Pruning = Pruning.MULTIPREV
     gratis_rule_off: bool = False  # debug: let gratis arrivals touch termination state
-    blind_flood: bool = False  # sanity baseline: every node relays once
 
     # bookkeeping
     seed: int = 1
-    sample_interval: float = 1.0
-    sample_storage: bool = False  # periodic detector-storage sampling
+    sample_storage: bool = False  # detector storage sampled every engine.SAMPLE_INTERVAL
 
     def __post_init__(self) -> None:
         for key, enum_cls in _ENUM_HINTS.items():
@@ -109,7 +107,6 @@ class ScenarioConfig:
             "mcu_window",
             "mark_expiry",
             "table_expiry",
-            "sample_interval",
         ):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")

@@ -34,6 +34,7 @@ from .model import PacketId, members
 from .node import Node, ScheduleRad, SchedulePoolEvict, Transmit
 
 RX, RAD, HELLO, GEN, EVICT, SAMPLE = range(6)
+SAMPLE_INTERVAL = 1.0  # seconds between detector-storage samples
 
 
 def substream(seed: int, name: str, index: int = 0) -> random.Random:
@@ -207,7 +208,7 @@ class Simulation:
             for i in range(n):
                 self._push(self._hello_rngs[i].uniform(0, config.hello_interval), HELLO, i)
         if config.sample_storage:
-            self._push(config.sample_interval, SAMPLE, None)
+            self._push(SAMPLE_INTERVAL, SAMPLE, None)
 
     # -- setup ---------------------------------------------------------------
 
@@ -389,7 +390,7 @@ class Simulation:
                         node.table.item_count(t) if node.table is not None else 0,
                         len(node.pool),
                     )
-                self._push(t + cfg.sample_interval, SAMPLE, None)
+                self._push(t + SAMPLE_INTERVAL, SAMPLE, None)
         for node in self.nodes:
             node.flush_bank(duration)
         return self.metrics

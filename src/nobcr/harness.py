@@ -104,80 +104,39 @@ def write_raw_csv(rows: list[dict], path: Path) -> None:
     _write_csv(path, RAW_SCHEMA, columns, ([row[c] for c in columns] for row in rows))
 
 
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction of the incomplete beta function, by the modified
-    Lentz method (Numerical Recipes, 3rd ed., section 6.4)."""
-    tiny = 1e-300
-    c = 1.0
-    d = 1.0 - (a + b) * x / (a + 1.0)
-    d = 1.0 / (d if abs(d) > tiny else tiny)
-    h = d
-    for m in range(1, 100_000):
-        m2 = 2 * m
-        for aa in (
-            m * (b - m) * x / ((a - 1.0 + m2) * (a + m2)),
-            -(a + m) * (a + b + m) * x / ((a + m2) * (a + 1.0 + m2)),
-        ):
-            d = 1.0 + aa * d
-            d = 1.0 / (d if abs(d) > tiny else tiny)
-            c = 1.0 + aa / c
-            c = c if abs(c) > tiny else tiny
-            h *= d * c
-        if abs(d * c - 1.0) < 4e-16:
-            return h
-    raise ArithmeticError(f"incomplete beta continued fraction did not converge: a={a} b={b} x={x}")
-
-
-def _log_gamma_ratio(a: float) -> float:
-    """log(Gamma(a + 1/2) / Gamma(a)) for a > 0, to a few rounding units.
-
-    ``lgamma(a + 0.5) - lgamma(a)`` would lose a rounding unit of lgamma(a)
-    itself (1e-13 at a = 150).  Instead the recurrence lifts a to at least 20,
-    and the Stirling series keeps only the small terms; its first omitted
-    term is below 4e-16 there.
-    """
-    shift = 0.0
-    while a < 20.0:
-        shift -= math.log1p(0.5 / a)
-        a += 1.0
-
-    def series(z: float) -> float:
-        w = 1.0 / (z * z)
-        return (1 / 12 - w * (1 / 360 - w * (1 / 1260 - w / 1680))) / z
-
-    return shift + a * math.log1p(0.5 / a) + 0.5 * math.log(a) - 0.5 + series(a + 0.5) - series(a)
-
-
-def _t_tail(t: float, df: int, log_c: float) -> float:
-    """P(T > t) for t > 0: half the regularized incomplete beta I_x(df/2, 1/2)
-    at x = df / (df + t^2); ``log_c`` is log(Gamma(df/2 + 1/2) /
-    (Gamma(df/2) Gamma(1/2)))."""
-    a = 0.5 * df
-    x, y = df / (df + t * t), t * t / (df + t * t)
-    front = math.exp(log_c - a * math.log1p(t * t / df) + 0.5 * math.log(y))
-    if x < (a + 1.0) / (a + 2.5):
-        return 0.5 * front * _betacf(a, 0.5, x) / a
-    return 0.5 - front * _betacf(0.5, a, y)
+def _t_tail(t: float, df: int) -> float:
+    """P(T > t) for t > 0, by the finite sums of Abramowitz & Stegun 26.7.3
+    (odd df) and 26.7.4 (even df) in c = cos^2 theta = df / (df + t^2)."""
+    c = df / (df + t * t)
+    odd = df % 2
+    term, total = 1.0, 0.0
+    for k in range(1, df // 2 + 1):
+        total += term
+        term *= c * (2 * k - 1 + odd) / (2 * k + odd)
+    if odd:
+        # pi/2 - theta = atan2(sqrt(df), t); sin theta cos theta = t sqrt(df) / (df + t^2)
+        return (math.atan2(math.sqrt(df), t) - t * math.sqrt(df) / (df + t * t) * total) / math.pi
+    return 0.5 - 0.5 * t / math.sqrt(df + t * t) * total
 
 
 @cache
 def t_quantile(q: float, df: int) -> float:
     """Quantile of Student's t with ``df`` degrees of freedom, for 0.5 <= q < 1.
 
-    Newton's method on the upper tail from t = 0: the tail is convex for
-    t >= 0, so every step stays below the root and the iteration rises
-    monotonically onto it.  Convergence is quadratic, so once a step is below
-    1e-9 t the error left is below the rounding of the tail itself; smaller
-    steps would only chase that rounding.
+    Newton's method from t = 0 on the upper tail, which for integer df is a
+    finite sum (Abramowitz & Stegun 26.7.3/26.7.4): O(df) terms per step, and
+    df = seeds - 1.  The tail is convex for t >= 0, so every step stays below
+    the root and the iteration rises monotonically onto it; the slope's
+    ``lgamma`` normaliser alters the step size, not the root.  Once a step is
+    below 1e-9 t the quadratic convergence leaves less than the tail rounding.
 
-    Agrees with ``scipy.stats.t.ppf`` to about 1e-14 (relative) up to
-    df = 1000.  Beyond that the continued fraction loses digits as x nears 1,
-    in proportion to df: 5e-12 at df = 1e6.
+    Agrees with ``scipy.stats.t.ppf`` to 5e-14 (relative) for df <= 400 at the
+    90, 95 and 99 % levels, and to 7e-13 up to df = 5000: the rounding of c is
+    raised to powers up to df/2, so the error grows with df.
     """
     if not 0.5 <= q < 1.0 or df < 1:
         raise ValueError(f"t_quantile needs 0.5 <= q < 1 and df >= 1, got q={q} df={df}")
-    log_c = _log_gamma_ratio(0.5 * df) - 0.5 * math.log(math.pi)
-    log_pdf0 = log_c - 0.5 * math.log(df)
+    log_pdf0 = math.lgamma(0.5 * (df + 1)) - math.lgamma(0.5 * df) - 0.5 * math.log(math.pi * df)
     target = 1.0 - q
     t, tail = 0.0, 0.5
     for _ in range(200):
@@ -185,7 +144,7 @@ def t_quantile(q: float, df: int) -> float:
         t += step
         if abs(step) <= 1e-9 * t:
             return t
-        tail = _t_tail(t, df, log_c)
+        tail = _t_tail(t, df)
     raise ArithmeticError(f"t_quantile did not converge: q={q} df={df}")
 
 

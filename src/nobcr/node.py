@@ -230,8 +230,7 @@ class Node:
         if decision is Decision.DROP:
             self._logev(now, "drop-term", c.pid)
             return
-        is_forwarder = self.config.blind_flood or bool((c.forwarders >> self.id) & 1)
-        if is_forwarder:
+        if (c.forwarders >> self.id) & 1:
             queued = self.queue.get(c.pid)
             if queued is not None and not queued.gratis:
                 self._logev(now, "dup-queued", c.pid)
@@ -330,10 +329,12 @@ class Node:
         if entry.gratis:
             # A gratis packet goes out only coded with a native one: with no
             # native queued, detection could return nothing but the seed.
+            # Without allow_gratis_pair, detection admits a gratis member only
+            # once a native one has joined, so two members imply a native.
             plan = []
             if any(not q.gratis for q in self.queue.values()):
                 plan = self._detect(PlanItem(pid, True), now, allow_gratis_pair=False)
-            if len(plan) >= 2 and any(not item.gratis for item in plan):
+            if len(plan) >= 2:
                 self._transmit_plan(plan, now, actions)
             else:
                 self.metrics.gratis_dropped += 1

@@ -25,7 +25,7 @@ def test_text_values_take_their_annotated_types():
 
 
 def test_every_field_round_trips_through_to_mapping():
-    cfg = ScenarioConfig.from_mapping({**REQUIRED, "termination": "ru", "blind_flood": "1"})
+    cfg = ScenarioConfig.from_mapping({**REQUIRED, "termination": "ru", "gratis_rule_off": "1"})
     mapping = cfg.to_mapping()
     assert set(mapping) == {f.name for f in dataclasses.fields(ScenarioConfig)}
     assert mapping["termination"] == "RU" and mapping["coding"] == "lightweight"

@@ -1,6 +1,5 @@
 """Event engine: determinism, radio model, mobility, hello convergence."""
 import math
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +11,6 @@ from nobcr.model import bit, from_ids, full_set, members
 
 from oracles import (
     PerReceiverPruning,
-    bfs_reachable,
     overlapping_pairs,
     uniform_speed_time_average,
 )
@@ -201,24 +199,6 @@ def test_on_air_flags_what_the_per_receiver_rule_flags(n, steps):
     expected = {(k, r) for k, box in enumerate(boxes) for r, flag in box.items() if flag[0]}
     assert flagged == expected
     assert all(entries[k][3] == mask for k, mask in read_at_end.items())
-
-
-def test_blind_flood_reaches_every_connected_node():
-    rng = random.Random(6)
-    for trial in range(5):
-        config = cfg(
-            n_nodes=25,
-            n_sources=1,
-            blind_flood=True,
-            rad_max=0.1,
-            sim_duration=8.0,
-            seed=rng.randint(1, 10_000),
-        )
-        sim = Simulation(config, injections=[(1.0, 7, 1)])
-        adj_sets = [set(members(a)) for a in sim.adjacency]
-        reachable = bfs_reachable(adj_sets, 7)
-        m = sim.run()
-        assert m.delivered_nodes((7, 1)) == reachable - {7}
 
 
 # --------------------------------------------------------------------------
