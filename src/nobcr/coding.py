@@ -10,11 +10,10 @@ tracks per-neighbour holdings explicitly from overheard traffic, in a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .model import (
-    ConstituentHeader, NeighborView, NodeSet, Packet, PacketId, ReceptionTable, bit, members,
-)
+from .model import ConstituentHeader, NeighborView, NodeSet, Packet, PacketId, ReceptionTable
 
 
 @dataclass(slots=True)
@@ -27,15 +26,15 @@ class PoolEntry:
     token: int
 
 
-class PacketPool:
+class PacketPool(dict[PacketId, PoolEntry]):
     """Recently received native payloads, kept ``lifetime`` seconds for
-    decoding and duplicate-driven pruning."""
+    decoding and duplicate-driven pruning: a dict from packet id to entry."""
 
-    __slots__ = ("lifetime", "entries", "_next_token")
+    __slots__ = ("lifetime", "_next_token")
 
     def __init__(self, lifetime: float):
+        super().__init__()
         self.lifetime = lifetime
-        self.entries: dict[PacketId, PoolEntry] = {}
         self._next_token = 0
 
     def record_copy(
@@ -49,47 +48,34 @@ class PacketPool:
 
         Returns (entry, was_new).  Duplicates only grow the previous-hop set.
         """
-        entry = self.entries.get(pid)
+        entry = self.get(pid)
         if entry is not None:
             if prev_hop is not None:
-                entry.prev_hops |= bit(prev_hop)
+                entry.prev_hops |= 1 << prev_hop
             return entry, False
         if payload is None:
             raise ValueError("first copy of a packet must include its payload")
         self._next_token += 1
-        hops = 0 if prev_hop is None else bit(prev_hop)
-        entry = PoolEntry(pid, payload, hops, prev_hop, origin_time, self._next_token)
-        self.entries[pid] = entry
+        hops = 0 if prev_hop is None else 1 << prev_hop
+        entry = self[pid] = PoolEntry(pid, payload, hops, prev_hop, origin_time, self._next_token)
         return entry, True
 
     def evict(self, pid: PacketId, token: int) -> bool:
-        entry = self.entries.get(pid)
+        entry = self.get(pid)
         if entry is None or entry.token != token:
             return False
-        del self.entries[pid]
+        del self[pid]
         return True
 
     def item_count(self) -> int:
         """Detector storage: previous hops recorded over all pooled entries."""
-        return sum(entry.prev_hops.bit_count() for entry in self.entries.values())
-
-    def get(self, pid: PacketId) -> PoolEntry | None:
-        return self.entries.get(pid)
-
-    def __contains__(self, pid: PacketId) -> bool:
-        return pid in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
+        return sum(entry.prev_hops.bit_count() for entry in self.values())
 
 
 def receivers_of(entry: PoolEntry, view: NeighborView) -> NodeSet:
     """Estimated holders of the packet: union of the advertised neighbourhoods
     of every hop heard transmitting it (unknown hops stand in for themselves)."""
-    z = 0
-    for i in members(entry.prev_hops):
-        z |= view.neighbors_of(i)
-    return z
+    return view.union_of(entry.prev_hops)
 
 
 class PlanItem(NamedTuple):
@@ -105,6 +91,9 @@ class OutEntry:
     deadline: float
     gratis: bool
     token: int
+
+
+_BY_DEADLINE = attrgetter("deadline", "token")
 
 
 def detect_coding(
@@ -127,7 +116,7 @@ def detect_coding(
     s = known_of(seed.pid)  # neighbours holding everything admitted so far
     c = one_hop & ~s  # neighbours missing exactly one admitted constituent
     plan = [seed]
-    ordered = sorted(queue, key=lambda q: (q.deadline, q.token))
+    ordered = sorted(queue, key=_BY_DEADLINE)
 
     for q in ordered:
         if q.gratis or q.pid == seed.pid:
@@ -165,23 +154,28 @@ class DecodeResult:
     missing: tuple[PacketId, ...]  # unknown constituents (>=2 on failure)
 
 
+# every constituent already pooled: nothing to recover (shared, never mutated)
+_ALL_KNOWN = DecodeResult(True, None, 0, ())
+
+
 def decode(pkt: Packet, pool: PacketPool) -> DecodeResult:
     """Resolve an encoded reception against the pool.
 
     Succeeds when at most one constituent payload is unknown; the unknown one
     is recovered by XOR-ing the rest out.
     """
-    missing = [c.pid for c in pkt.constituents if c.pid not in pool]
-    if len(missing) >= 2:
-        return DecodeResult(False, None, 0, tuple(missing))
-    if not missing:
-        return DecodeResult(True, None, 0, ())
+    missing = []
     payload = pkt.payload
     for c in pkt.constituents:
-        if c.pid != missing[0]:
-            entry = pool.get(c.pid)
-            assert entry is not None
+        entry = pool.get(c.pid)
+        if entry is None:
+            missing.append(c.pid)
+        else:
             payload ^= entry.payload
+    if not missing:
+        return _ALL_KNOWN
+    if len(missing) >= 2:
+        return DecodeResult(False, None, 0, tuple(missing))
     return DecodeResult(True, missing[0], payload, ())
 
 

@@ -192,6 +192,10 @@ class Simulation:
                     rng = substream(seed, "mob", i)
                     self.positions.append((rng.uniform(0, config.area_side), rng.uniform(0, config.area_side)))
             self.adjacency = self._static_adjacency(self.positions, config.tx_range)
+        # static runs: each sender's receivers as ids in ascending order
+        self._receiver_ids: list[tuple[int, ...]] | None = None
+        if self.adjacency is not None:
+            self._receiver_ids = [tuple(members(mask)) for mask in self.adjacency]
 
         self.nodes = [
             Node(i, config, self._make_rad_fn(i), self.metrics, self.log) for i in range(n)
@@ -303,29 +307,33 @@ class Simulation:
         assert self.trajectories is not None
         return self._static_adjacency(self._positions(t), self.config.tx_range)
 
-    def _receiver_mask(self, sender: int, t: float) -> int:
+    def _receivers(self, sender: int, t: float) -> tuple[int, Sequence[int]]:
+        """Who hears a broadcast ``sender`` starts at ``t``: a mask, and the
+        same nodes as ids in ascending order."""
         if self.adjacency is not None:
-            return self.adjacency[sender]
+            return self.adjacency[sender], self._receiver_ids[sender]
         positions = self._positions(t)
         xs, ys = positions[sender]
         r2 = self.config.tx_range ** 2
         mask = 0
+        ids = []
         for j, (xj, yj) in enumerate(positions):
             dx, dy = xs - xj, ys - yj
-            if dx * dx + dy * dy <= r2:
+            if dx * dx + dy * dy <= r2 and j != sender:
                 mask |= 1 << j
-        return mask & ~(1 << sender)
+                ids.append(j)
+        return mask, ids
 
     def _broadcast(self, sender: int, nbytes: int, payload, is_hello: bool, now: float) -> None:
         cfg = self.config
         jitter = self._mac_rngs[sender].uniform(0, cfg.mac_jitter) if cfg.mac_jitter > 0 else 0.0
         t0 = now + jitter
         t1 = t0 + nbytes * 8.0 / cfg.bandwidth_bps
-        receivers = self._receiver_mask(sender, t0)
+        receivers, ids = self._receivers(sender, t0)
         if not receivers:
             return
         air = self._on_air.start(now, t0, t1, receivers) if cfg.collisions else None
-        self._push(t1, RX, (receivers, payload, is_hello, air))
+        self._push(t1, RX, (ids, payload, is_hello, air))
 
     def _transmit_data(self, sender: int, packet, now: float) -> None:
         nbytes = packet.payload_len + 16 * len(packet.constituents)
@@ -342,41 +350,44 @@ class Simulation:
         cfg = self.config
         duration = cfg.sim_duration
         heap = self._heap
+        nodes = self.nodes
         while heap:
             t, _, kind, data = heapq.heappop(heap)
             if t > duration:
                 break
             if kind == RX:
-                receivers, payload, is_hello, air = data
+                ids, payload, is_hello, air = data
                 collided = air[3] if air is not None else 0
-                for r in members(receivers):
+                for r in ids:
                     if collided >> r & 1:
                         self.metrics.collision_losses += 1
                         if self.log is not None:
                             self.log.add(t, r, "rx-collision")
                         continue
-                    node = self.nodes[r]
+                    node = nodes[r]
                     if is_hello:
                         sender, mask = payload
                         node.on_hello(sender, mask, t)
                     else:
-                        self._apply(r, node.on_receive(payload, t), t)
+                        actions = node.on_receive(payload, t)
+                        if actions:
+                            self._apply(r, actions, t)
             elif kind == RAD:
                 node_id, pid, token = data
-                self._apply(node_id, self.nodes[node_id].on_rad_expiry(pid, token, t), t)
+                self._apply(node_id, nodes[node_id].on_rad_expiry(pid, token, t), t)
             elif kind == GEN:
                 source, sn, recurring = data
-                self._apply(source, self.nodes[source].on_generate(sn, t), t)
+                self._apply(source, nodes[source].on_generate(sn, t), t)
                 if recurring:
                     t_next = t + 1.0 / cfg.pkt_rate
                     if t_next <= duration - cfg.traffic_cutoff:
                         self._push(t_next, GEN, (source, sn + 1, True))
             elif kind == EVICT:
                 node_id, pid, token = data
-                self.nodes[node_id].on_pool_evict(pid, token, t)
+                nodes[node_id].on_pool_evict(pid, token, t)
             elif kind == HELLO:
                 node_id = data
-                self.nodes[node_id].periodic(t)
+                nodes[node_id].periodic(t)
                 self._transmit_hello(node_id, t)
                 self._push(
                     t + cfg.hello_interval * self._hello_rngs[node_id].uniform(0.9, 1.1),
@@ -384,7 +395,7 @@ class Simulation:
                     node_id,
                 )
             elif kind == SAMPLE:
-                for node in self.nodes:
+                for node in nodes:
                     self.metrics.on_storage_sample(
                         node.pool.item_count(),
                         node.table.item_count(t) if node.table is not None else 0,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .config import Pruning
-from .model import NeighborView, NodeSet, bit, members, two_hop_set
+from .model import NeighborView, NodeSet, members, two_hop_set
 
 
 class CoverProblem(NamedTuple):
@@ -28,15 +28,12 @@ def cover_target(view: NeighborView, hops: NodeSet) -> NodeSet:
     minus v and the hops themselves.  Hops with unknown advertised sets only
     remove themselves; with no hop this is the full 2-hop fringe.
     """
-    v = view.owner
-    target = two_hop_set(view) & ~view.one_hop & ~bit(v) & ~hops
+    target = two_hop_set(view) & ~view.one_hop & ~hops
     for i in members(hops):
         n_i = view.neigh_of.get(i)
         if n_i is None:
             continue
-        target &= ~n_i
-        for x in members(n_i & view.one_hop):
-            target &= ~view.neighbors_of(x)
+        target &= ~(n_i | view.union_of(n_i & view.one_hop))
     return target
 
 
@@ -49,17 +46,18 @@ def greedy_set_cover(problem: CoverProblem) -> tuple[NodeSet, NodeSet]:
     """
     uncovered = problem.universe
     picked = 0
-    useful = {c: cov & uncovered for c, cov in problem.candidates.items()}
+    useful = sorted(problem.candidates.items())
     while uncovered:
-        best, best_gain = -1, 0
-        for c in sorted(useful):
-            gain = (useful[c] & uncovered).bit_count()
+        best, best_gain = None, 0
+        for cand in useful:
+            gain = (cand[1] & uncovered).bit_count()
             if gain > best_gain:
-                best, best_gain = c, gain
-        if best < 0:
+                best, best_gain = cand, gain
+        if best is None:
             break
-        picked |= bit(best)
-        uncovered &= ~useful.pop(best)
+        useful.remove(best)
+        picked |= 1 << best[0]
+        uncovered &= ~best[1]
     return picked, uncovered
 
 
@@ -67,16 +65,23 @@ def build_problem(view: NeighborView, hops: NodeSet, heard: NodeSet) -> CoverPro
     """Cover problem for relaying a packet pruned against ``hops``.
 
     Candidates are the 1-hop neighbours outside the hops' advertised sets,
-    excluding every hop ``heard`` transmitting the packet.
+    excluding every hop ``heard`` transmitting the packet, that cover some
+    of the universe.
     """
     universe = cover_target(view, hops)
-    discount = 0
-    for i in members(hops):
-        discount |= view.neigh_of.get(i, 0)
-    pool = view.one_hop & ~discount & ~heard & ~bit(view.owner)
-    candidates = {
-        c: view.neighbors_of(c) & universe for c in members(pool)
-    }
+    candidates = {}
+    if universe:
+        neigh_of = view.neigh_of
+        pool = view.one_hop & ~heard & ~(1 << view.owner)
+        for i in members(hops):
+            pool &= ~neigh_of.get(i, 0)
+        while pool:
+            low = pool & -pool
+            c = low.bit_length() - 1
+            cov = neigh_of.get(c, low) & universe
+            if cov:
+                candidates[c] = cov
+            pool ^= low
     return CoverProblem(universe, candidates)
 
 
@@ -89,7 +94,7 @@ def elect_forwarders(
     from; the multi-previous variant against all of ``prev_hops``.
     Returns (forwarders, uncovered).
     """
-    hops = bit(first_hop) if mode is Pruning.PDP else prev_hops
+    hops = 1 << first_hop if mode is Pruning.PDP else prev_hops
     return greedy_set_cover(build_problem(view, hops, prev_hops))
 
 

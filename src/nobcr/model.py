@@ -166,7 +166,7 @@ class NeighborView:
     _next_expiry: float = float("inf")
 
     def note_hello(self, sender: int, advertised: NodeSet, now: float, horizon: float) -> None:
-        self.one_hop |= bit(sender)
+        self.one_hop |= 1 << sender
         self.neigh_of[sender] = advertised
         self.last_heard[sender] = now
         expiry = now + horizon
@@ -198,8 +198,22 @@ class NeighborView:
         node never receives its own hello.
         """
         if u == self.owner:
-            return self.one_hop | bit(u)
-        return self.neigh_of.get(u, bit(u))
+            return self.one_hop | (1 << u)
+        return self.neigh_of.get(u, 1 << u)
+
+    def union_of(self, mask: NodeSet) -> NodeSet:
+        """Union of :meth:`neighbors_of` over the members of ``mask``."""
+        z = 0
+        own = 1 << self.owner
+        if mask & own:
+            z = self.one_hop | own
+            mask ^= own
+        neigh_of = self.neigh_of
+        while mask:
+            low = mask & -mask
+            z |= neigh_of.get(low.bit_length() - 1, low)
+            mask ^= low
+        return z
 
 
 def two_hop_set(view: NeighborView) -> NodeSet:
@@ -211,4 +225,4 @@ def two_hop_set(view: NeighborView) -> NodeSet:
     mask = view.one_hop
     for adv in view.neigh_of.values():
         mask |= adv
-    return mask & ~bit(view.owner)
+    return mask & ~(1 << view.owner)

@@ -15,7 +15,7 @@ from . import coding
 from .coding import OutEntry, PacketPool, PlanItem, ReceptionTable
 from .config import Coding, ScenarioConfig
 from .forwarding import elect_forwarders, elect_source_forwarders
-from .model import ConstituentHeader, NeighborView, Packet, PacketId, bit
+from .model import ConstituentHeader, NeighborView, Packet, PacketId
 from .termination import Decision, TerminationState
 
 
@@ -85,6 +85,7 @@ class Node:
         self.bank: list[BankedPacket] = []
         self._next_token = 0
         self._cr = config.coded_redundancy and config.coding is not Coding.NONE
+        self._hello_horizon = config.hello_interval * config.hello_expiry_factor
 
     # -- helpers -----------------------------------------------------------
 
@@ -161,10 +162,10 @@ class Node:
 
     def on_receive(self, pkt: Packet, now: float) -> list[Action]:
         actions: list[Action] = []
-        self.view.prune(now, self._hello_horizon())
+        self.view.prune(now, self._hello_horizon)
         if self.table is not None:
             tx = pkt.tx_node
-            holders = (self.view.neighbors_of(tx) & self.view.one_hop) | bit(tx)
+            holders = (self.view.neighbors_of(tx) & self.view.one_hop) | (1 << tx)
             for c in pkt.constituents:
                 self.table.mark(c.pid, holders, now)
         # banked packets can become decodable only when the pool gains an
@@ -173,7 +174,7 @@ class Node:
         if not pkt.encoded:
             c = pkt.constituents[0]
             self._process_constituent(c, pkt.payload, pkt.tx_node, now, actions)
-            if len(self.pool) > pooled:
+            if self.bank and len(self.pool) > pooled:
                 self._resolve_bank(now, actions)
             return actions
 
@@ -195,7 +196,7 @@ class Node:
                 assert entry is not None
                 payload = entry.payload
             self._process_constituent(c, payload, pkt.tx_node, now, actions)
-        if len(self.pool) > pooled:
+        if self.bank and len(self.pool) > pooled:
             self._resolve_bank(now, actions)
         return actions
 
@@ -332,8 +333,10 @@ class Node:
             # Without allow_gratis_pair, detection admits a gratis member only
             # once a native one has joined, so two members imply a native.
             plan = []
-            if any(not q.gratis for q in self.queue.values()):
-                plan = self._detect(PlanItem(pid, True), now, allow_gratis_pair=False)
+            for q in self.queue.values():
+                if not q.gratis:
+                    plan = self._detect(PlanItem(pid, True), now, allow_gratis_pair=False)
+                    break
             if len(plan) >= 2:
                 self._transmit_plan(plan, now, actions)
             else:
@@ -370,18 +373,15 @@ class Node:
                     self.metrics.gratis_dropped += 1
 
     def on_hello(self, sender: int, advertised: int, now: float) -> None:
-        self.view.note_hello(sender, advertised, now, self._hello_horizon())
+        self.view.note_hello(sender, advertised, now, self._hello_horizon)
 
     def make_hello_size(self) -> int:
         return 8 + 4 * (1 + self.view.one_hop.bit_count())
 
     def periodic(self, now: float) -> None:
         """Housekeeping on a coarse timer: expire soft state."""
-        self.view.prune(now, self._hello_horizon())
+        self.view.prune(now, self._hello_horizon)
         self.flush_bank(now)
         if self.table is not None:
             self.table.prune(now)
         self.term.prune(now)
-
-    def _hello_horizon(self) -> float:
-        return self.config.hello_interval * self.config.hello_expiry_factor

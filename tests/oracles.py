@@ -100,6 +100,15 @@ def _adv(neigh_of: dict[int, set[int]], x: int) -> set[int]:
     return neigh_of.get(x, {x})
 
 
+def union_sets(owner: int, one_hop: set[int], neigh_of: dict[int, set[int]], nodes) -> set[int]:
+    """Union of the advertised neighbourhoods of ``nodes``; the owner's own
+    neighbourhood is its 1-hop set and itself."""
+    out = set()
+    for x in nodes:
+        out |= (one_hop | {owner}) if x == owner else _adv(neigh_of, x)
+    return out
+
+
 def two_hop_sets(owner: int, one_hop: set[int], neigh_of: dict[int, set[int]]) -> set[int]:
     out = set(one_hop)
     for adv in neigh_of.values():
@@ -146,6 +155,22 @@ def brute_min_cover(universe: set[int], candidates: dict[int, set[int]]):
             if universe <= covered:
                 return set(combo)
     return None
+
+
+def greedy_cover_sets(universe: set[int], candidates: dict[int, set[int]]):
+    """Greedy set cover: each round picks the candidate covering the most
+    still-uncovered nodes, the lowest id among equals, until none covers
+    anything more.  Returns (picked, uncovered)."""
+    uncovered = set(universe)
+    left = dict(candidates)
+    picked = set()
+    while uncovered and left:
+        best = min(left, key=lambda c: (-len(left[c] & uncovered), c))
+        if not left[best] & uncovered:
+            break
+        picked.add(best)
+        uncovered -= left.pop(best)
+    return picked, uncovered
 
 
 def harmonic(n: int) -> float:

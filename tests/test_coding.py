@@ -26,7 +26,7 @@ from nobcr.model import (
     members,
 )
 
-from oracles import PairMarks
+from oracles import PairMarks, union_sets
 
 
 def pid(sn, source=0):
@@ -133,6 +133,28 @@ def test_own_relay_adds_own_neighbourhood():
     entry, _ = pool.record_copy(pid(1), None, payload=1)
     pool.record_copy(pid(1), 0)  # own transmission recorded as a hop
     assert receivers_of(entry, v) == from_ids({0, 1, 2})
+
+
+@given(
+    owner=st.integers(min_value=0, max_value=11),
+    advertised=st.dictionaries(st.integers(min_value=0, max_value=11),
+                               st.frozensets(st.integers(min_value=0, max_value=11))),
+    hops=st.lists(st.integers(min_value=0, max_value=11), min_size=1, max_size=6),
+)
+def test_receivers_of_is_the_union_over_prev_hops(owner, advertised, hops):
+    v = NeighborView(owner=owner)
+    neigh_of = {u: set(adv) for u, adv in advertised.items() if u != owner}
+    for u, adv in neigh_of.items():
+        v.note_hello(u, from_ids(adv), now=0.0, horizon=10.0)
+    pool = PacketPool(lifetime=2.0)
+    entry, _ = pool.record_copy(pid(1), hops[0], payload=1)
+    for hop in hops[1:]:
+        pool.record_copy(pid(1), hop)
+    union = 0
+    for i in members(entry.prev_hops):
+        union |= v.neighbors_of(i)
+    assert receivers_of(entry, v) == union
+    assert set(members(union)) == union_sets(owner, set(neigh_of), neigh_of, set(hops))
 
 
 # --------------------------------------------------------------------------

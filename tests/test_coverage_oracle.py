@@ -30,6 +30,7 @@ IDEAL = ScenarioConfig(
 
 GRATIS_HOPS_PRUNE = pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="ROADMAP item 1: gratis transmitters are credited as pruning previous hops",
 )
 # Variants that lose packets on an ideal channel, and why.  C/U under an
@@ -40,6 +41,7 @@ KNOWN_LOSSES = {
     "nobcr-table": GRATIS_HOPS_PRUNE,
     "pdp-cu-rad": pytest.mark.xfail(
         strict=True,
+        raises=AssertionError,
         reason="C/U drops a buffered packet once a larger sequence number is heard",
     ),
 }

@@ -62,6 +62,51 @@ def test_static_adjacency_threshold_inclusive():
     assert adj[2] == 0
 
 
+def _recorded_receivers(sim):
+    """Wrap the radio's receiver hook; return the list it appends
+    (sender, t0, mask, ids) to for every broadcast."""
+    sends = []
+    receivers = sim._receivers
+
+    def recording(sender, t0):
+        mask, ids = receivers(sender, t0)
+        sends.append((sender, t0, mask, ids))
+        return mask, ids
+
+    sim._receivers = recording
+    return sends
+
+
+def test_static_receiver_ids_are_the_adjacency_members():
+    sim = Simulation(cfg(n_nodes=30, area_side=600.0, n_sources=3, seed=4))
+    sends = _recorded_receivers(sim)
+    sim.run()
+    assert sends
+    for sender, _, mask, ids in sends:
+        assert mask == sim.adjacency[sender]
+        assert ids == tuple(members(sim.adjacency[sender]))
+
+
+def test_mobile_receiver_ids_are_the_nodes_in_range():
+    config = cfg(n_nodes=25, area_side=700.0, n_sources=4, sim_duration=8.0, mac_jitter=0.01,
+                 speed_min=1.0, speed_max=15.0, pause_time=0.5, hello_enabled=True, seed=6)
+    sim = Simulation(config)
+    sends = _recorded_receivers(sim)
+    sim.run()
+    walkers = [
+        Waypoint(substream(config.seed, "mob", i), config.area_side, config.speed_min,
+                 config.speed_max, config.pause_time, -config.mobility_warmup)
+        for i in range(config.n_nodes)
+    ]
+    assert len(sends) > 100
+    for sender, t0, mask, ids in sends:
+        where = [w.position(t0) for w in walkers]
+        in_range = [j for j in range(config.n_nodes)
+                    if j != sender and math.dist(where[sender], where[j]) <= config.tx_range]
+        assert list(ids) == in_range
+        assert mask == from_ids(in_range)
+
+
 def test_chain_relays_end_to_end():
     config = cfg(sim_duration=5.0)
     sim = Simulation(config, adjacency=CHAIN, injections=[(1.0, 0, 1)])
@@ -111,6 +156,7 @@ class FixedDraw:
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="a reception pruned at a receiver by a broadcast starting after its end "
     "is missed by a broadcast handled later that starts earlier",
 )
@@ -135,30 +181,34 @@ def test_out_of_start_order_overlap_collides():
     assert m.collision_losses == len(expected)  # the hub then relays B alone
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="each send starts at now plus a fresh MAC jitter whatever the sender "
-    "still has on the air, so one node's back-to-back relays can overlap",
-)
-def test_one_sender_never_overlaps_itself():
-    # chain 0-1-2: node 0 sends two packets 2 ms apart and node 1 relays each as
-    # it arrives, the first after 2.5 ms of MAC jitter and the second at once
+def _back_to_back_sends():
+    """(sender, t0, t1) of every data broadcast on chain 0-1-2, where node 0
+    sends two packets 2 ms apart and node 1 relays each as it arrives, the
+    first after 2.5 ms of MAC jitter and the second at once."""
     path = [bit(1), bit(0) | bit(2), bit(1)]
     config = cfg(n_nodes=3, collisions=True, mac_jitter=0.02, rad_max=0.0, sim_duration=5.0)
     sim = Simulation(config, adjacency=path, injections=[(1.0, 0, 1), (1.002, 0, 2)])
     sim._mac_rngs[0] = FixedDraw(0.0)
     sim._mac_rngs[1] = FixedDraw(0.0025, 0.0)
     airtime = (config.pkt_size + 16) * 8.0 / config.bandwidth_bps
-    sends = []  # (sender, t0, t1) of every data broadcast
-    receiver_mask = sim._receiver_mask
-
-    def recording_mask(sender, t0):
-        sends.append((sender, t0, t0 + airtime))
-        return receiver_mask(sender, t0)
-
-    sim._receiver_mask = recording_mask
+    sends = _recorded_receivers(sim)
     sim.run()
-    assert sorted(s for s, _, _ in sends) == [0, 0, 1, 1]
+    return [(sender, t0, t0 + airtime) for sender, t0, _, _ in sends]
+
+
+def test_back_to_back_sends_are_recorded():
+    # the hook the overlap test below records through sees every send
+    assert sorted(s for s, _, _ in _back_to_back_sends()) == [0, 0, 1, 1]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="each send starts at now plus a fresh MAC jitter whatever the sender "
+    "still has on the air, so one node's back-to-back relays can overlap",
+)
+def test_one_sender_never_overlaps_itself():
+    sends = _back_to_back_sends()
     for u in (0, 1):
         own = sorted((t0, t1) for s, t0, t1 in sends if s == u)
         assert all(end <= start for (_, end), (start, _) in zip(own, own[1:])), (u, own)

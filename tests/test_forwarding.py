@@ -16,6 +16,7 @@ from nobcr.model import NeighborView, bit, card, from_ids, members
 
 from oracles import (
     brute_min_cover,
+    greedy_cover_sets,
     harmonic,
     multiprev_target_sets,
     pdp_target_sets,
@@ -72,13 +73,21 @@ def test_unknown_prev_hop_discounts_only_itself():
 
 def test_no_hop_is_the_source_case():
     # a source prunes against nothing: the whole 2-hop fringe is the target
-    # and every neighbour is a candidate
+    # and every neighbour may be a candidate; 0 and 3 cover none of it
     adj = [{1}, {0, 2, 3}, {1, 4}, {1}, {2}]
     v = converged_view(1, adj)
     assert cover_target(v, 0) == bit(4)
     problem = build_problem(v, 0, 0)
-    assert set(problem.candidates) == {0, 2, 3}
+    assert problem.candidates == {2: bit(4)}
     assert greedy_set_cover(problem) == elect_source_forwarders(v) == (bit(2), 0)
+
+
+def test_empty_universe_builds_no_candidates():
+    # in a triangle the source's neighbours already cover everything
+    adj = [{1, 2}, {0, 2}, {0, 1}]
+    v = converged_view(0, adj)
+    assert build_problem(v, 0, 0) == CoverProblem(0, {})
+    assert build_problem(v, bit(1), bit(1)) == CoverProblem(0, {})
 
 
 def test_second_hop_shrinks_target():
@@ -177,6 +186,26 @@ def test_greedy_reports_unreachable_remainder():
 def test_greedy_empty_universe_picks_nothing():
     picked, uncovered = greedy_set_cover(CoverProblem(0, {2: bit(1)}))
     assert picked == 0 and uncovered == 0
+
+
+def test_greedy_matches_set_oracle_whatever_the_candidate_order():
+    # candidates arrive in shuffled insertion order, and some cover nothing
+    # of the universe: an empty set, or only nodes outside it
+    rng = random.Random(7)
+    for _ in range(500):
+        universe = set(rng.sample(range(16), rng.randint(0, 12)))
+        candidates = {
+            c: set(rng.sample(range(20), rng.randint(0, 6)))
+            for c in rng.sample(range(24), rng.randint(0, 10))
+        }
+        shuffled = list(candidates.items())
+        rng.shuffle(shuffled)
+        picked, uncovered = greedy_set_cover(
+            CoverProblem(from_ids(universe), {c: from_ids(cov) for c, cov in shuffled})
+        )
+        want_picked, want_uncovered = greedy_cover_sets(universe, candidates)
+        assert set(members(picked)) == want_picked
+        assert set(members(uncovered)) == want_uncovered
 
 
 def test_greedy_complete_and_within_logarithmic_bound():

@@ -2,7 +2,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from nobcr.model import (
     EMPTY,
@@ -15,6 +15,8 @@ from nobcr.model import (
     members,
     two_hop_set,
 )
+
+from oracles import union_sets
 
 id_sets = st.frozensets(st.integers(min_value=0, max_value=300), max_size=40)
 
@@ -124,3 +126,25 @@ def test_two_hop_set_includes_one_hop_itself():
     v = NeighborView(owner=0)
     v.note_hello(3, EMPTY, now=0.0, horizon=5.0)
     assert two_hop_set(v) == bit(3)
+
+
+small_ids = st.frozensets(st.integers(min_value=0, max_value=11))
+
+
+@given(
+    owner=st.integers(min_value=0, max_value=11),
+    one_hop=small_ids,
+    advertised=st.dictionaries(st.integers(min_value=0, max_value=11), small_ids),
+    mask=small_ids,
+)
+@example(owner=0, one_hop=frozenset({1}), advertised={1: frozenset({0, 2})}, mask=frozenset({0}))
+@example(owner=0, one_hop=frozenset({1}), advertised={}, mask=frozenset({1, 5}))
+@example(owner=3, one_hop=frozenset({1}), advertised={1: frozenset({3})}, mask=frozenset())
+def test_union_of_matches_set_union(owner, one_hop, advertised, mask):
+    # the owner's own set comes from its 1-hop table, unknown nodes stand in
+    # for themselves, and the empty mask unions nothing
+    one_hop = set(one_hop) - {owner}
+    neigh_of = {u: set(adv) for u, adv in advertised.items() if u != owner}
+    v = NeighborView(owner=owner, one_hop=from_ids(one_hop),
+                     neigh_of={u: from_ids(adv) for u, adv in neigh_of.items()})
+    assert set(members(v.union_of(from_ids(mask)))) == union_sets(owner, one_hop, neigh_of, mask)

@@ -266,7 +266,7 @@ def test_no_gratis_entry_queued_without_coded_redundancy(gratis_rule_off):
     for i, pkt in enumerate(arrivals):
         node.on_receive(pkt, now=1.0 + 0.01 * i)
         assert not any(q.gratis for q in node.queue.values())
-    assert set(node.queue) == {p1} and {p2, p3, p4} <= set(node.pool.entries)
+    assert set(node.queue) == {p1} and {p2, p3, p4} <= set(node.pool)
     kind = "drop-notfwd" if gratis_rule_off else "gratis-ignored"
     assert len(log.filter(kind=kind)) == (3 if gratis_rule_off else 2)
     (tx,) = transmits(node.on_rad_expiry(p1, node.queue[p1].token, now=2.0))
