@@ -23,19 +23,17 @@ class PoolEntry:
     prev_hops: NodeSet  # every 1-hop node heard transmitting a copy
     first_hop: int | None  # hop of the first copy (None for own packets)
     origin_time: float
-    token: int
 
 
 class PacketPool(dict[PacketId, PoolEntry]):
     """Recently received native payloads, kept ``lifetime`` seconds for
     decoding and duplicate-driven pruning: a dict from packet id to entry."""
 
-    __slots__ = ("lifetime", "_next_token")
+    __slots__ = ("lifetime",)
 
     def __init__(self, lifetime: float):
         super().__init__()
         self.lifetime = lifetime
-        self._next_token = 0
 
     def record_copy(
         self,
@@ -55,17 +53,9 @@ class PacketPool(dict[PacketId, PoolEntry]):
             return entry, False
         if payload is None:
             raise ValueError("first copy of a packet must include its payload")
-        self._next_token += 1
         hops = 0 if prev_hop is None else 1 << prev_hop
-        entry = self[pid] = PoolEntry(pid, payload, hops, prev_hop, origin_time, self._next_token)
+        entry = self[pid] = PoolEntry(pid, payload, hops, prev_hop, origin_time)
         return entry, True
-
-    def evict(self, pid: PacketId, token: int) -> bool:
-        entry = self.get(pid)
-        if entry is None or entry.token != token:
-            return False
-        del self[pid]
-        return True
 
     def item_count(self) -> int:
         """Detector storage: previous hops recorded over all pooled entries."""
@@ -90,6 +80,8 @@ class OutEntry:
     pid: PacketId
     deadline: float
     gratis: bool
+    # buffering order, to break deadline ties: a promoted gratis entry keeps
+    # its old queue slot, so the queue's own order is not buffering order
     token: int
 
 

@@ -28,10 +28,11 @@ import math
 import random
 from typing import Callable, Iterable, Sequence
 
+from .coding import OutEntry, PoolEntry
 from .config import ScenarioConfig
 from .metrics import Metrics, SimLog
-from .model import PacketId, members
-from .node import Node, ScheduleRad, SchedulePoolEvict, Transmit
+from .model import Packet, PacketId, members
+from .node import Node
 
 RX, RAD, HELLO, GEN, EVICT, SAMPLE = range(6)
 SAMPLE_INTERVAL = 1.0  # seconds between detector-storage samples
@@ -233,8 +234,6 @@ class Simulation:
 
     def _preconverge(self) -> None:
         adj = self.adjacency
-        if adj is None:
-            adj = self._current_adjacency(0.0)
         for node in self.nodes:
             view = node.view
             view.one_hop = adj[node.id]
@@ -271,13 +270,15 @@ class Simulation:
         heapq.heappush(self._heap, (t, self._seq, kind, data))
 
     def _apply(self, node_id: int, actions, now: float) -> None:
+        """Send a created packet now, fire RAD at a buffered entry's deadline,
+        and evict a new pool entry once the pool lifetime has passed."""
         for a in actions:
-            if type(a) is Transmit:
-                self._transmit_data(node_id, a.packet, now)
-            elif type(a) is ScheduleRad:
-                self._push(a.at, RAD, (node_id, a.pid, a.token))
-            elif type(a) is SchedulePoolEvict:
-                self._push(a.at, EVICT, (node_id, a.pid, a.token))
+            if type(a) is Packet:
+                self._transmit_data(node_id, a, now)
+            elif type(a) is OutEntry:
+                self._push(a.deadline, RAD, (node_id, a))
+            elif type(a) is PoolEntry:
+                self._push(now + self.config.pool_lifetime, EVICT, (node_id, a))
             else:
                 raise TypeError(f"unknown action {a!r}")
 
@@ -302,10 +303,6 @@ class Simulation:
                 out.append(traj.position(t))
                 legs[i] = traj.leg()
         return out
-
-    def _current_adjacency(self, t: float) -> list[int]:
-        assert self.trajectories is not None
-        return self._static_adjacency(self._positions(t), self.config.tx_range)
 
     def _receivers(self, sender: int, t: float) -> tuple[int, Sequence[int]]:
         """Who hears a broadcast ``sender`` starts at ``t``: a mask, and the
@@ -373,8 +370,8 @@ class Simulation:
                         if actions:
                             self._apply(r, actions, t)
             elif kind == RAD:
-                node_id, pid, token = data
-                self._apply(node_id, nodes[node_id].on_rad_expiry(pid, token, t), t)
+                node_id, entry = data
+                self._apply(node_id, nodes[node_id].on_rad_expiry(entry, t), t)
             elif kind == GEN:
                 source, sn, recurring = data
                 self._apply(source, nodes[source].on_generate(sn, t), t)
@@ -383,8 +380,8 @@ class Simulation:
                     if t_next <= duration - cfg.traffic_cutoff:
                         self._push(t_next, GEN, (source, sn + 1, True))
             elif kind == EVICT:
-                node_id, pid, token = data
-                nodes[node_id].on_pool_evict(pid, token, t)
+                node_id, entry = data
+                nodes[node_id].on_pool_evict(entry, t)
             elif kind == HELLO:
                 node_id = data
                 nodes[node_id].periodic(t)

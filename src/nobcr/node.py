@@ -1,9 +1,13 @@
 """Per-node protocol logic, kept free of event-loop concerns.
 
 The engine feeds receptions, timer expiries and generation events into a
-Node; the node answers with a list of actions (transmit now, schedule a
-timer).  All protocol state lives here: neighbour view, termination state,
-packet pool, reception table, output queue.
+Node; the node answers with a list of what it created (:data:`Action`): a
+``Packet`` to send now, an ``OutEntry`` whose RAD timer fires at its
+deadline, a new ``PoolEntry`` to evict once the pool lifetime has passed.
+Each timer hands its own entry back, and the handler acts only while that
+entry is still the one queued or pooled for its packet.  All protocol state
+lives here: neighbour view, termination state, packet pool, reception table,
+output queue.
 """
 from __future__ import annotations
 
@@ -12,33 +16,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import coding
-from .coding import OutEntry, PacketPool, PlanItem, ReceptionTable
+from .coding import OutEntry, PacketPool, PlanItem, PoolEntry, ReceptionTable
 from .config import Coding, ScenarioConfig
 from .forwarding import elect_forwarders, elect_source_forwarders
 from .model import ConstituentHeader, NeighborView, Packet, PacketId
 from .termination import Decision, TerminationState
 
 
-@dataclass(slots=True)
-class Transmit:
-    packet: Packet
-
-
-@dataclass(slots=True)
-class ScheduleRad:
-    pid: PacketId
-    token: int
-    at: float
-
-
-@dataclass(slots=True)
-class SchedulePoolEvict:
-    pid: PacketId
-    token: int
-    at: float
-
-
-Action = Transmit | ScheduleRad | SchedulePoolEvict
+Action = Packet | OutEntry | PoolEntry
 
 
 @dataclass(slots=True)
@@ -122,7 +107,7 @@ class Node:
         self._next_token += 1
         entry = OutEntry(pid, now + delay, gratis, self._next_token)
         self.queue[pid] = entry
-        actions.append(ScheduleRad(pid, entry.token, entry.deadline))
+        actions.append(entry)
         self._logev(now, "buffer-gratis" if gratis else "buffer", pid, "until", entry.deadline)
 
     def _transmit_plan(self, plan: list[PlanItem], now: float, actions: list[Action]) -> None:
@@ -156,46 +141,38 @@ class Node:
                 self.table.mark(item.pid, self.view.one_hop, now)
         self.metrics.on_data_tx(n_constituents=len(plan), with_gratis=any_gratis)
         self._logev(now, "tx", *headers)
-        actions.append(Transmit(pkt))
+        actions.append(pkt)
 
     # -- events ------------------------------------------------------------
 
     def on_receive(self, pkt: Packet, now: float) -> list[Action]:
         actions: list[Action] = []
         self.view.prune(now, self._hello_horizon)
+        tx = pkt.tx_node
         if self.table is not None:
-            tx = pkt.tx_node
             holders = (self.view.neighbors_of(tx) & self.view.one_hop) | (1 << tx)
             for c in pkt.constituents:
                 self.table.mark(c.pid, holders, now)
         # banked packets can become decodable only when the pool gains an
         # entry; no eviction runs inside a reception, so the size tells
         pooled = len(self.pool)
-        if not pkt.encoded:
-            c = pkt.constituents[0]
-            self._process_constituent(c, pkt.payload, pkt.tx_node, now, actions)
-            if self.bank and len(self.pool) > pooled:
-                self._resolve_bank(now, actions)
-            return actions
-
-        result = coding.decode(pkt, self.pool)
-        if not result.ok:
-            self._logev(now, "decode-defer", *result.missing)
-            for c in pkt.constituents:
-                if c.pid in self.pool:
-                    self.pool.record_copy(c.pid, pkt.tx_node)
-                    if not c.gratis:
-                        self.term.observe_transmitter(pkt.tx_node, c.pid, now)
-            self.bank.append(BankedPacket(pkt, now + self.pool.lifetime))
-            return actions
+        if pkt.encoded:
+            result = coding.decode(pkt, self.pool)
+            if not result.ok:
+                self._logev(now, "decode-defer", *result.missing)
+                for c in pkt.constituents:
+                    if c.pid in self.pool:
+                        self.pool.record_copy(c.pid, tx)
+                        if not c.gratis:
+                            self.term.observe_transmitter(tx, c.pid, now)
+                self.bank.append(BankedPacket(pkt, now + self.pool.lifetime))
+                return actions
+            recovered, payload = result.recovered_pid, result.recovered_payload
+        else:
+            recovered, payload = pkt.constituents[0].pid, pkt.payload
+        # every constituent but the recovered one is already pooled
         for c in pkt.constituents:
-            if c.pid == result.recovered_pid:
-                payload = result.recovered_payload
-            else:
-                entry = self.pool.get(c.pid)
-                assert entry is not None
-                payload = entry.payload
-            self._process_constituent(c, payload, pkt.tx_node, now, actions)
+            self._process_constituent(c, payload if c.pid == recovered else None, tx, now, actions)
         if self.bank and len(self.pool) > pooled:
             self._resolve_bank(now, actions)
         return actions
@@ -203,14 +180,14 @@ class Node:
     def _process_constituent(
         self,
         c: ConstituentHeader,
-        payload: int,
+        payload: int | None,
         tx_node: int,
         now: float,
         actions: list[Action],
     ) -> None:
         entry, was_new = self.pool.record_copy(c.pid, tx_node, payload, c.origin_time)
         if was_new:
-            actions.append(SchedulePoolEvict(c.pid, entry.token, now + self.pool.lifetime))
+            actions.append(entry)
             if c.pid.source != self.id:
                 self.metrics.on_delivery(self.id, c.pid, now - c.origin_time)
         if not c.gratis:
@@ -321,9 +298,9 @@ class Node:
                 kept.append(banked)
         self.bank = kept
 
-    def on_rad_expiry(self, pid: PacketId, token: int, now: float) -> list[Action]:
-        entry = self.queue.get(pid)
-        if entry is None or entry.token != token:
+    def on_rad_expiry(self, entry: OutEntry, now: float) -> list[Action]:
+        pid = entry.pid
+        if self.queue.get(pid) is not entry:
             return []
         del self.queue[pid]
         actions: list[Action] = []
@@ -357,15 +334,17 @@ class Node:
         pid = PacketId(self.id, sn)
         entry, was_new = self.pool.record_copy(pid, None, make_payload(pid), now)
         assert was_new, "source sequence numbers must not repeat"
-        actions: list[Action] = [SchedulePoolEvict(pid, entry.token, now + self.pool.lifetime)]
+        actions: list[Action] = [entry]
         self.term.check(pid, now, self.view)  # register own packet
         self.metrics.on_generated()
         self._logev(now, "gen", pid)
         self._transmit_plan([PlanItem(pid, False)], now, actions)
         return actions
 
-    def on_pool_evict(self, pid: PacketId, token: int, now: float) -> None:
-        if self.pool.evict(pid, token):
+    def on_pool_evict(self, entry: PoolEntry, now: float) -> None:
+        pid = entry.pid
+        if self.pool.get(pid) is entry:
+            del self.pool[pid]
             dropped = self.queue.pop(pid, None)
             if dropped is not None:
                 self._logev(now, "evict-queued", pid)

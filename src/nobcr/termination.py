@@ -6,10 +6,14 @@ out-of-order packets within the window are still recognised individually.  The
 classic criteria (M/U, R/U, C/U) reproduce the single-value bookkeeping whose
 failure modes MC/U was designed to avoid.
 
-MC/U window layout: a shift register.  Bit i of ``SourceWindow.bm`` is set
-when sequence number ``sn_max - i`` was received (0 <= i < k).  A new maximum
-shifts the register left by the gap and sets bit 0; bits shifted past k - 1
-have left the window.
+MC/U, C/U and R/U share one SN store, ``sn_last``: one SN a source, the
+largest heard (MC/U, C/U) or forwarded (R/U).  A larger SN is an advance:
+it is eligible for relay, and only R/U leaves the store as it was.
+
+MC/U window layout: a shift register below ``sn_last``.  Bit i of
+``windows[s]`` is set when sequence number ``sn_last[s] - i`` was received
+(0 <= i < k).  An advance shifts the register left by the gap and sets bit 0;
+bits shifted past k - 1 have left the window.
 
 The node calls the same hooks of :class:`TerminationState` whatever the
 criterion; each criterion acts on the hooks it needs and ignores the rest:
@@ -17,10 +21,11 @@ criterion; each criterion acts on the hooks it needs and ignores the rest:
 =========  =================================  ==============================
 criterion  state                              hooks that act
 =========  =================================  ==============================
-MC/U       ``windows``: one window a source   ``check`` records the SN
-C/U        ``sn_last``: one SN a source       ``check`` stores a larger SN;
+MC/U       ``sn_last`` and ``windows``: one   ``check`` records the SN
+           SN and one window a source
+C/U        ``sn_last``                        ``check`` stores a larger SN;
                                               ``stale_at_expiry``
-R/U        ``sn_last``: one SN a source       ``check`` only reads;
+R/U        ``sn_last``                        ``check`` only reads;
                                               ``note_forwarded`` stores;
                                               ``stale_at_expiry``
 M/U        ``marks``: a ``ReceptionTable``    ``check`` only reads;
@@ -44,36 +49,6 @@ class Decision(Enum):
     DROP = "drop"
 
 
-@dataclass(slots=True)
-class SourceWindow:
-    """Reception window for one source: k bits ending at the largest SN seen.
-
-    Bit i of ``bm`` stands for sequence number ``sn_max - i``.
-    ``sn_max == 0`` means nothing has been seen yet (SNs start at 1).
-    """
-
-    k: int
-    bm: int = 0
-    sn_max: int = 0
-
-
-def mcu_relay_or_not(p: PacketId, w: SourceWindow) -> Decision:
-    """Single reception decision against the window; mutates w on first sight."""
-    gap = p.sn - w.sn_max
-    if gap > 0:
-        # a gap of k or more leaves nothing of the old window
-        w.bm = ((w.bm << gap) | 1) & ((1 << w.k) - 1) if gap < w.k else 1
-        w.sn_max = p.sn
-        return Decision.RELAY_ELIGIBLE
-    if -gap >= w.k:
-        return Decision.DROP  # too old: fell out of the window
-    mask = 1 << -gap
-    if w.bm & mask:
-        return Decision.DROP
-    w.bm |= mask
-    return Decision.RELAY_ELIGIBLE
-
-
 @dataclass
 class TerminationState:
     """Per-node termination bookkeeping for the configured criterion."""
@@ -81,8 +56,8 @@ class TerminationState:
     mode: Termination
     mcu_window: int = 64
     mark_expiry: float = 5.0
-    windows: dict[int, SourceWindow] = field(default_factory=dict)
-    sn_last: dict[int, int] = field(default_factory=dict)
+    windows: dict[int, int] = field(default_factory=dict)  # MC/U only
+    sn_last: dict[int, int] = field(default_factory=dict)  # a missing source reads 0: SNs start at 1
     marks: ReceptionTable | None = None  # M/U only
 
     def __post_init__(self) -> None:
@@ -91,23 +66,33 @@ class TerminationState:
 
     def check(self, p: PacketId, now: float, view: NeighborView) -> Decision:
         """Relay decision for a native copy of p, heard or generated here."""
-        if self.mode is Termination.MCU:
-            w = self.windows.get(p.source)
-            if w is None:
-                w = self.windows[p.source] = SourceWindow(self.mcu_window)
-            return mcu_relay_or_not(p, w)
         if self.marks is not None:
             # relay while some current neighbour has no valid mark for p
             if view.one_hop & ~self.marks.holders(p, now):
                 return Decision.RELAY_ELIGIBLE
             return Decision.DROP
-        # C/U stores every larger reception; R/U stores only actual forwards,
-        # which the node reports through note_forwarded
-        if p.sn <= self.sn_last.get(p.source, 0):
-            return Decision.DROP
-        if self.mode is Termination.CU:
-            self.sn_last[p.source] = p.sn
-        return Decision.RELAY_ELIGIBLE
+        src = p.source
+        gap = p.sn - self.sn_last.get(src, 0)
+        mode = self.mode
+        if gap > 0:
+            # R/U stores only actual forwards, which the node reports through
+            # note_forwarded; a gap of k or more leaves nothing of a window
+            if mode is not Termination.RU:
+                self.sn_last[src] = p.sn
+                if mode is Termination.MCU:
+                    k = self.mcu_window
+                    bm = self.windows.get(src, 0)
+                    self.windows[src] = ((bm << gap) | 1) & ((1 << k) - 1) if gap < k else 1
+            return Decision.RELAY_ELIGIBLE
+        if mode is Termination.MCU and -gap < self.mcu_window:
+            # an SN inside the window (SNs start at 1, so the source has
+            # advanced before): relay it once
+            bm = self.windows[src]
+            mask = 1 << -gap
+            if not bm & mask:
+                self.windows[src] = bm | mask
+                return Decision.RELAY_ELIGIBLE
+        return Decision.DROP
 
     def stale_at_expiry(self, p: PacketId, now: float, view: NeighborView) -> bool:
         """Staleness of a buffered packet once its assessment delay runs out.
@@ -144,8 +129,7 @@ class TerminationState:
         h = hashlib.sha256()
         h.update(self.mode.value.encode())
         for src in sorted(self.windows):
-            w = self.windows[src]
-            h.update(f"w{src}:{w.bm}:{w.sn_max};".encode())
+            h.update(f"w{src}:{self.windows[src]};".encode())
         for src in sorted(self.sn_last):
             h.update(f"c{src}:{self.sn_last[src]};".encode())
         if self.marks is not None:

@@ -72,30 +72,18 @@ def test_own_packet_has_no_hops():
     assert pool.item_count() == 0
 
 
-def test_evict_honours_token():
-    pool = PacketPool(lifetime=2.0)
-    entry, _ = pool.record_copy(pid(1), 3, payload=1)
-    assert not pool.evict(pid(1), token=entry.token + 1)
-    assert pid(1) in pool
-    assert pool.evict(pid(1), entry.token)
-    assert pid(1) not in pool and pool.item_count() == 0
-    assert not pool.evict(pid(1), entry.token)  # already gone
-
-
 def test_items_tracks_total_hop_count():
     rng = random.Random(4)
     pool = PacketPool(lifetime=2.0)
-    tokens = {}
     hops: dict[PacketId, set[int]] = {}  # plain-set record of every copy kept
     for _ in range(3000):
         p = pid(rng.randint(1, 40), source=rng.randint(0, 3))
         if p in pool and rng.random() < 0.2:
-            pool.evict(p, tokens[p])
+            del pool[p]
             del hops[p]
         else:
             hop = rng.randint(0, 30)
-            entry, _ = pool.record_copy(p, hop, payload=1)
-            tokens[p] = entry.token
+            pool.record_copy(p, hop, payload=1)
             hops.setdefault(p, set()).add(hop)
         assert pool.item_count() == sum(len(h) for h in hops.values())
 

@@ -1,10 +1,13 @@
 """Node event handling: buffering, relaying, gratis rule, decode bank."""
+import dataclasses
+
 import pytest
 
+from nobcr.coding import OutEntry, PoolEntry
 from nobcr.config import Coding, Pruning, ScenarioConfig, Termination
 from nobcr.metrics import Metrics, SimLog
 from nobcr.model import ConstituentHeader, Packet, PacketId, bit, from_ids
-from nobcr.node import Node, ScheduleRad, SchedulePoolEvict, Transmit, make_payload
+from nobcr.node import Node, make_payload
 
 
 def make_config(**kw):
@@ -61,11 +64,15 @@ def xor_pkt(pids, forwarders_of=None, gratis=(), tx_node=1):
 
 
 def transmits(actions):
-    return [a for a in actions if isinstance(a, Transmit)]
+    return [a for a in actions if isinstance(a, Packet)]
 
 
 def rads(actions):
-    return [a for a in actions if isinstance(a, ScheduleRad)]
+    return [a for a in actions if isinstance(a, OutEntry)]
+
+
+def evicts(actions):
+    return [a for a in actions if isinstance(a, PoolEntry)]
 
 
 # --------------------------------------------------------------------------
@@ -77,12 +84,13 @@ def test_generate_transmits_at_once():
     node = make_node(0, neighbors={1: from_ids({0, 2})})
     actions = node.on_generate(sn=1, now=5.0)
     (tx,) = transmits(actions)
-    (c,) = tx.packet.constituents
+    (c,) = tx.constituents
     assert c.pid == PacketId(0, 1)
     assert c.forwarders == bit(1)  # the only neighbour reaches node 2
-    assert not tx.packet.encoded
+    assert not tx.encoded
     assert node.metrics.generated == 1
-    assert any(isinstance(a, SchedulePoolEvict) for a in actions)
+    (evict,) = evicts(actions)
+    assert evict is node.pool[PacketId(0, 1)]
     assert PacketId(0, 1) in node.pool
 
 
@@ -92,21 +100,22 @@ def test_forwarder_buffers_then_relays():
     actions = node.on_receive(native(p, forwarders=bit(2), tx_node=1), now=1.0)
     assert not transmits(actions)
     (rad,) = rads(actions)
-    assert rad.pid == p and rad.at == pytest.approx(1.1)
+    assert rad.pid == p and rad.deadline == pytest.approx(1.1)
     assert node.metrics.deliveries == 1
 
-    out = node.on_rad_expiry(p, rad.token, now=rad.at)
+    out = node.on_rad_expiry(rad, now=rad.deadline)
     (tx,) = transmits(out)
-    assert [c.pid for c in tx.packet.constituents] == [p]
+    assert [c.pid for c in tx.constituents] == [p]
     assert p not in node.queue
 
 
-def test_rad_expiry_ignores_stale_token():
+def test_rad_expiry_ignores_stale_entry():
     node = make_node(2, neighbors={1: 0}, coding=Coding.NONE)
     p = PacketId(0, 1)
     (rad,) = rads(node.on_receive(native(p, forwarders=bit(2)), now=1.0))
-    assert node.on_rad_expiry(p, rad.token + 40, now=rad.at) == []
-    assert p in node.queue
+    stale = dataclasses.replace(rad)  # equal fields, but not the queued entry
+    assert stale == rad and node.on_rad_expiry(stale, now=rad.deadline) == []
+    assert node.queue[p] is rad
 
 
 def test_non_forwarder_without_redundancy_drops():
@@ -122,7 +131,7 @@ def test_duplicate_relay_suppressed_by_window():
     node = make_node(2, neighbors={1: 0, 3: 0}, coding=Coding.NONE)
     p = PacketId(0, 1)
     (rad,) = rads(node.on_receive(native(p, forwarders=bit(2), tx_node=1), now=1.0))
-    node.on_rad_expiry(p, rad.token, now=rad.at)
+    node.on_rad_expiry(rad, now=rad.deadline)
     again = node.on_receive(native(p, forwarders=bit(2), tx_node=3), now=2.0)
     assert not transmits(again) and not rads(again)
 
@@ -138,9 +147,35 @@ def test_own_packet_echo_not_recounted():
 def test_pool_evict_clears_pending_queue_entry():
     node = make_node(2, neighbors={1: 0}, coding=Coding.NONE)
     p = PacketId(0, 1)
-    actions = node.on_receive(native(p, forwarders=bit(2)), now=1.0)
-    evict = next(a for a in actions if isinstance(a, SchedulePoolEvict))
-    node.on_pool_evict(p, evict.token, now=evict.at)
+    (evict,) = evicts(node.on_receive(native(p, forwarders=bit(2)), now=1.0))
+    node.on_pool_evict(evict, now=3.0)
+    assert p not in node.pool and p not in node.queue
+
+
+def test_pool_evict_honours_entry():
+    node = make_node(2, neighbors={1: 0}, coding=Coding.NONE)
+    p = PacketId(0, 1)
+    (entry,) = evicts(node.on_receive(native(p, forwarders=0), now=1.0))
+    node.on_pool_evict(dataclasses.replace(entry), now=3.0)  # equal, not the same
+    assert node.pool[p] is entry
+    node.on_pool_evict(entry, now=3.0)
+    assert p not in node.pool and node.pool.item_count() == 0
+    node.on_pool_evict(entry, now=3.0)  # already gone
+    assert p not in node.pool
+
+
+def test_stale_evict_spares_a_repooled_packet():
+    # R/U stores nothing until a forward, so the second copy is relayed
+    node = make_node(2, neighbors={1: 0}, termination=Termination.RU, coding=Coding.NONE)
+    p = PacketId(0, 1)
+    (old,) = evicts(node.on_receive(native(p, forwarders=0), now=1.0))
+    node.on_pool_evict(old, now=3.0)
+    actions = node.on_receive(native(p, forwarders=bit(2)), now=3.0)
+    (new,) = evicts(actions)
+    (rad,) = rads(actions)
+    node.on_pool_evict(old, now=3.0)
+    assert node.pool[p] is new and node.queue[p] is rad
+    node.on_pool_evict(new, now=5.0)
     assert p not in node.pool and p not in node.queue
 
 
@@ -167,9 +202,9 @@ def test_reception_codes_with_buffered_packet():
     assert rads(first) and not transmits(first)
     second = node.on_receive(native(p2, forwarders=bit(0), tx_node=2), now=1.05)
     (tx,) = transmits(second)
-    assert tx.packet.encoded
-    assert {c.pid for c in tx.packet.constituents} == {p1, p2}
-    assert tx.packet.payload == make_payload(p1) ^ make_payload(p2)
+    assert tx.encoded
+    assert {c.pid for c in tx.constituents} == {p1, p2}
+    assert tx.payload == make_payload(p1) ^ make_payload(p2)
     assert not node.queue
     assert node.metrics.encoded_tx == 1
 
@@ -183,10 +218,10 @@ def test_expiry_reruns_detection():
     gr = node.on_receive(native(p2, forwarders=bit(5), tx_node=2), now=1.02)
     assert rads(gr)
     assert node.queue[p2].gratis
-    out = node.on_rad_expiry(p1, rad1.token, now=rad1.at)
+    out = node.on_rad_expiry(rad1, now=rad1.deadline)
     (tx,) = transmits(out)
-    assert tx.packet.encoded
-    flags = {c.pid: c.gratis for c in tx.packet.constituents}
+    assert tx.encoded
+    flags = {c.pid: c.gratis for c in tx.constituents}
     assert flags == {p1: False, p2: True}
     assert node.metrics.encoded_tx_gratis == 1
     assert p2 not in node.queue  # the gratis ride cleared its timer too
@@ -197,7 +232,7 @@ def test_gratis_alone_expires_silently():
     p = PacketId(1, 1)
     (rad,) = rads(node.on_receive(native(p, forwarders=0, tx_node=1), now=1.0))
     assert node.queue[p].gratis
-    out = node.on_rad_expiry(p, rad.token, now=rad.at)
+    out = node.on_rad_expiry(rad, now=rad.deadline)
     assert not transmits(out)
     assert node.metrics.gratis_dropped == 1
 
@@ -240,11 +275,11 @@ def test_repeat_gratis_copies_are_ignored():
     assert len(log.filter(kind="gratis-dup")) == 1
     # the pool entry is what makes a copy a repeat: once the first copy's
     # eviction has run, the next gratis copy is new again
-    (evict,) = [a for a in a1 if isinstance(a, SchedulePoolEvict)]
+    (evict,) = evicts(a1)
     (rad,) = rads(a1)
-    node.on_rad_expiry(p, rad.token, now=rad.at)
-    node.on_pool_evict(p, evict.token, now=evict.at)
-    a3 = node.on_receive(gratis_pkt(p, tx_node=2), now=evict.at)
+    node.on_rad_expiry(rad, now=rad.deadline)
+    node.on_pool_evict(evict, now=3.0)
+    a3 = node.on_receive(gratis_pkt(p, tx_node=2), now=3.0)
     assert rads(a3) and node.queue[p].gratis
     assert len(log.filter(kind="gratis-dup")) == 1
 
@@ -269,8 +304,8 @@ def test_no_gratis_entry_queued_without_coded_redundancy(gratis_rule_off):
     assert set(node.queue) == {p1} and {p2, p3, p4} <= set(node.pool)
     kind = "drop-notfwd" if gratis_rule_off else "gratis-ignored"
     assert len(log.filter(kind=kind)) == (3 if gratis_rule_off else 2)
-    (tx,) = transmits(node.on_rad_expiry(p1, node.queue[p1].token, now=2.0))
-    assert [(c.pid, c.gratis) for c in tx.packet.constituents] == [(p1, False)]
+    (tx,) = transmits(node.on_rad_expiry(node.queue[p1], now=2.0))
+    assert [(c.pid, c.gratis) for c in tx.constituents] == [(p1, False)]
 
 
 def test_gratis_not_buffered_without_audience():
@@ -293,9 +328,9 @@ def test_gratis_promotion_to_native():
     assert first.gratis
     node.on_receive(native(p, forwarders=bit(0), tx_node=2), now=1.02)
     second = node.queue[p]
-    assert not second.gratis and second.token != first.token
+    assert not second.gratis and second is not first
     assert log.filter(kind="promote")
-    assert node.on_rad_expiry(p, first.token, now=first.deadline) == []
+    assert node.on_rad_expiry(first, now=first.deadline) == []
 
 
 # --------------------------------------------------------------------------
@@ -316,7 +351,7 @@ def test_undecodable_reception_waits_then_recovers():
     assert p2 in node.pool
     assert node.pool.get(p2).payload == make_payload(p2)
     assert not node.bank
-    assert any(isinstance(x, SchedulePoolEvict) and x.pid == p2 for x in b)
+    assert any(e is node.pool[p2] for e in evicts(b))
 
 
 def test_bank_resolution_credits_the_encoder():
@@ -327,6 +362,38 @@ def test_bank_resolution_credits_the_encoder():
     # the encoder held both constituents; both entries owe it a hop credit
     assert node.pool.get(p1).prev_hops == from_ids({2, 3})
     assert node.pool.get(p2).prev_hops == bit(3)
+
+
+def _codeb_node():
+    return make_node(
+        0, neighbors={1: 0, 2: 0, 3: 0}, termination=Termination.MU,
+        coding=Coding.TABLE, coded_redundancy=False, pruning=Pruning.PDP,
+    )
+
+
+def test_immediate_decode_marks_the_encoder_under_mu():
+    node = _codeb_node()
+    p1, p2 = PacketId(1, 1), PacketId(2, 1)
+    node.on_receive(native(p1, forwarders=0, tx_node=2), now=1.0)
+    node.on_receive(xor_pkt([p1, p2], tx_node=3), now=1.5)
+    assert node.pool[p1].prev_hops == from_ids({2, 3})
+    assert node.term.marks.holders(p1, 1.5) == from_ids({2, 3})
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="_resolve_bank credits the encoder as a previous hop of constituents "
+    "pooled after banking, but never marks it under M/U",
+)
+def test_late_decode_marks_the_encoder_under_mu():
+    # the same two receptions as above, in the other order
+    node = _codeb_node()
+    p1, p2 = PacketId(1, 1), PacketId(2, 1)
+    node.on_receive(xor_pkt([p1, p2], tx_node=3), now=1.0)
+    node.on_receive(native(p1, forwarders=0, tx_node=2), now=1.5)
+    assert node.pool[p1].prev_hops == from_ids({2, 3})
+    assert node.term.marks.holders(p1, 1.5) == from_ids({2, 3})
 
 
 def test_bank_cascade_resolves_chains():
@@ -386,7 +453,7 @@ def test_marks_accumulated_during_buffering_cancel_relay():
     (rad,) = rads(node.on_receive(native(p, forwarders=bit(0), tx_node=1), now=1.0))
     # the other neighbour relays the same packet while we sit on it
     node.on_receive(native(p, forwarders=bit(0), tx_node=2), now=1.05)
-    out = node.on_rad_expiry(p, rad.token, now=rad.at)
+    out = node.on_rad_expiry(rad, now=rad.deadline)
     assert not transmits(out)
     assert log.filter(kind="drop-term-late")
 
@@ -399,9 +466,9 @@ def test_newer_sequence_number_kills_buffered_packet():
     old, new = PacketId(3, 1), PacketId(3, 2)
     (rad_old,) = rads(node.on_receive(native(old, forwarders=bit(0), tx_node=1), now=1.0))
     (rad_new,) = rads(node.on_receive(native(new, forwarders=bit(0), tx_node=1), now=1.02))
-    assert not transmits(node.on_rad_expiry(old, rad_old.token, now=rad_old.at))
+    assert not transmits(node.on_rad_expiry(rad_old, now=rad_old.deadline))
     assert log.filter(kind="drop-term-late")
-    assert transmits(node.on_rad_expiry(new, rad_new.token, now=rad_new.at))
+    assert transmits(node.on_rad_expiry(rad_new, now=rad_new.deadline))
 
 
 def test_window_keeps_buffered_packet_valid_across_reorder():
@@ -409,8 +476,8 @@ def test_window_keeps_buffered_packet_valid_across_reorder():
     old, new = PacketId(3, 1), PacketId(3, 2)
     (rad_old,) = rads(node.on_receive(native(old, forwarders=bit(0), tx_node=1), now=1.0))
     (rad_new,) = rads(node.on_receive(native(new, forwarders=bit(0), tx_node=1), now=1.02))
-    assert transmits(node.on_rad_expiry(old, rad_old.token, now=rad_old.at))
-    assert transmits(node.on_rad_expiry(new, rad_new.token, now=rad_new.at))
+    assert transmits(node.on_rad_expiry(rad_old, now=rad_old.deadline))
+    assert transmits(node.on_rad_expiry(rad_new, now=rad_new.deadline))
 
 
 def test_relay_echo_terminates_loop_at_source():
@@ -419,8 +486,8 @@ def test_relay_echo_terminates_loop_at_source():
     a = make_node(0, neighbors={1: from_ids({0, 2})}, **cfg)
     b = make_node(1, neighbors={0: from_ids({1})}, **cfg)
     (tx0,) = transmits(a.on_generate(sn=1, now=0.0))
-    assert tx0.packet.constituents[0].forwarders == bit(1)
-    (rad_b,) = rads(b.on_receive(tx0.packet, now=0.01))
-    (tx1,) = transmits(b.on_rad_expiry(PacketId(0, 1), rad_b.token, now=rad_b.at))
-    echo = a.on_receive(tx1.packet, now=rad_b.at + 0.01)
+    assert tx0.constituents[0].forwarders == bit(1)
+    (rad_b,) = rads(b.on_receive(tx0, now=0.01))
+    (tx1,) = transmits(b.on_rad_expiry(rad_b, now=rad_b.deadline))
+    echo = a.on_receive(tx1, now=rad_b.deadline + 0.01)
     assert not transmits(echo) and not rads(echo)

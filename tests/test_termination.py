@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from nobcr.config import Termination
 from nobcr.model import NeighborView, PacketId, bit, members
-from nobcr.termination import Decision, SourceWindow, TerminationState, mcu_relay_or_not
+from nobcr.termination import Decision, TerminationState
 
 from oracles import FullHistoryDedup, PairMarks, rebuild_window_bitmap, reordered_sn_stream
 
@@ -19,69 +19,85 @@ def pid(sn, source=0):
 
 
 # --------------------------------------------------------------------------
-# Window bitmap, worked step by step (bit i stands for sn_max - i)
+# Window bitmap, worked step by step (bit i stands for sn_last - i)
 # --------------------------------------------------------------------------
 
 
+def window(k=8, sn_last=0, bm=0):
+    """An MC/U state, with source 0 at ``sn_last`` and window ``bm`` if given."""
+    mcu = TerminationState(Termination.MCU, mcu_window=k)
+    if sn_last:
+        mcu.sn_last[0], mcu.windows[0] = sn_last, bm
+    return mcu
+
+
+def seen(mcu, sn):
+    return mcu.check(pid(sn), 0.0, NeighborView(owner=9))
+
+
+def state(mcu):
+    return mcu.sn_last[0], mcu.windows[0]
+
+
 def test_first_reception_lands_at_shifted_index():
-    w = SourceWindow(k=8)
-    assert mcu_relay_or_not(pid(5), w) is RELAY
-    assert (w.sn_max, w.bm) == (5, 0b1)  # bit 0 always stands for sn_max
+    w = window()
+    assert seen(w, 5) is RELAY
+    assert state(w) == (5, 0b1)  # bit 0 always stands for sn_last
 
 
 def test_in_window_reorder_then_duplicate():
-    w = SourceWindow(k=8)
-    assert mcu_relay_or_not(pid(5), w) is RELAY
-    assert mcu_relay_or_not(pid(4), w) is RELAY  # older but unseen
-    assert w.bm == 0b11
-    assert mcu_relay_or_not(pid(4), w) is DROP  # now a duplicate
-    assert mcu_relay_or_not(pid(5), w) is DROP
-    assert w.bm == 0b11
+    w = window()
+    assert seen(w, 5) is RELAY
+    assert seen(w, 4) is RELAY  # older but unseen
+    assert state(w) == (5, 0b11)
+    assert seen(w, 4) is DROP  # now a duplicate
+    assert seen(w, 5) is DROP
+    assert state(w) == (5, 0b11)
 
 
 def test_advance_by_one_clears_nothing():
-    w = SourceWindow(k=8, bm=0b111, sn_max=3)
-    assert mcu_relay_or_not(pid(4), w) is RELAY
-    assert (w.sn_max, w.bm) == (4, 0b1111)
+    w = window(sn_last=3, bm=0b111)
+    assert seen(w, 4) is RELAY
+    assert state(w) == (4, 0b1111)
 
 
 def test_single_rollover_clears_both_wrapped_ranges():
-    w = SourceWindow(k=8, bm=0b11111111, sn_max=6)
-    assert mcu_relay_or_not(pid(10), w) is RELAY
+    w = window(sn_last=6, bm=0b11111111)
+    assert seen(w, 10) is RELAY
     # 7..9 were never received; 3..6 move up to bits 4..7; older ones leave
-    assert (w.sn_max, w.bm) == (10, 0b11110001)
+    assert state(w) == (10, 0b11110001)
 
 
 def test_multi_rollover_wipes_window():
-    w = SourceWindow(k=8, bm=0b11111111, sn_max=3)
-    assert mcu_relay_or_not(pid(20), w) is RELAY
-    assert (w.sn_max, w.bm) == (20, 0b1)
+    w = window(sn_last=3, bm=0b11111111)
+    assert seen(w, 20) is RELAY
+    assert state(w) == (20, 0b1)
 
 
 @pytest.mark.parametrize("k", [4, 64])
 def test_huge_jump_keeps_bitmap_within_k(k):
-    w = SourceWindow(k)
+    w = window(k)
     for sn in range(1, 2 * k):
-        mcu_relay_or_not(pid(sn), w)
-    assert mcu_relay_or_not(pid(w.sn_max + 10**9), w) is RELAY
-    assert w.bm == 1 and w.bm.bit_length() <= k
+        seen(w, sn)
+    assert seen(w, w.sn_last[0] + 10**9) is RELAY
+    assert w.windows[0] == 1 and w.windows[0].bit_length() <= k
 
 
 def test_update_rejects_non_advance():
-    w = SourceWindow(k=8, sn_max=5, bm=0b1)
-    assert mcu_relay_or_not(pid(5), w) is DROP  # the maximum itself is no advance
-    assert (w.sn_max, w.bm) == (5, 0b1)
+    w = window(sn_last=5, bm=0b1)
+    assert seen(w, 5) is DROP  # the maximum itself is no advance
+    assert state(w) == (5, 0b1)
 
 
 def test_too_old_reception_drops_without_state_change():
-    w = SourceWindow(k=8)
-    mcu_relay_or_not(pid(100), w)
-    before = (w.bm, w.sn_max)
-    assert mcu_relay_or_not(pid(92), w) is DROP  # 92 == sn_max - k
-    assert mcu_relay_or_not(pid(1), w) is DROP
-    assert (w.bm, w.sn_max) == before
-    assert mcu_relay_or_not(pid(93), w) is RELAY  # oldest in-window slot
-    assert w.bm == 0b10000001
+    w = window()
+    seen(w, 100)
+    before = state(w)
+    assert seen(w, 92) is DROP  # 92 == sn_last - k
+    assert seen(w, 1) is DROP
+    assert state(w) == before
+    assert seen(w, 93) is RELAY  # oldest in-window slot
+    assert state(w) == (100, 0b10000001)
 
 
 # --------------------------------------------------------------------------
@@ -92,12 +108,12 @@ def test_too_old_reception_drops_without_state_change():
 @pytest.mark.parametrize("k", [4, 8, 32, 64])
 def test_window_decisions_match_full_history(k):
     rng = random.Random(1000 + k)
-    w = SourceWindow(k)
+    w = window(k)
     oracle = FullHistoryDedup(k)
     for sn in reordered_sn_stream(rng, 30_000, k):
-        got = mcu_relay_or_not(pid(sn), w)
+        got = seen(w, sn)
         want = oracle.decide(sn)
-        assert (got is RELAY) == (want == "relay"), (sn, w.sn_max)
+        assert (got is RELAY) == (want == "relay"), (sn, w.sn_last[0])
 
 
 def test_window_bitmap_rebuilds_from_history():
@@ -106,19 +122,19 @@ def test_window_bitmap_rebuilds_from_history():
     rng = random.Random(77)
     for trial in range(300):
         k = rng.choice([4, 8, 16, 64])
-        w = SourceWindow(k)
+        w = window(k)
         received = set()
         front = 0
         for _ in range(rng.randint(5, 60)):
             if rng.random() < 0.4 or front == 0:
                 front += rng.choice([1, 2, 3, k - 1, k, 2 * k + 3])
-                assert mcu_relay_or_not(pid(front), w) is RELAY
+                assert seen(w, front) is RELAY
                 received.add(front)
             else:
                 sn = max(1, front - rng.randrange(k + 8))
-                if mcu_relay_or_not(pid(sn), w) is RELAY:
+                if seen(w, sn) is RELAY:
                     received.add(sn)
-            assert w.bm == rebuild_window_bitmap(k, w.sn_max, received)
+            assert w.windows[0] == rebuild_window_bitmap(k, w.sn_last[0], received)
 
 
 # --------------------------------------------------------------------------
@@ -158,6 +174,38 @@ def test_cu_decision_stream_matches_running_max():
         got = st.check(pid(sn), 0.0, v)
         assert (got is RELAY) == (sn > best)
         best = max(best, sn)
+
+
+_SOURCES = st.integers(0, 2)
+
+
+@given(
+    steps=st.lists(
+        st.tuples(st.sampled_from(["heard", "forwarded"]), _SOURCES, st.integers(1, 200)),
+        max_size=80,
+    ),
+    k=st.integers(1, 16),
+)
+def test_one_sn_store_for_mcu_cu_and_ru(steps, k):
+    """MC/U and C/U store the largest SN heard, R/U the largest forwarded."""
+    v = NeighborView(owner=9)
+    mcu, cu, ru = (
+        TerminationState(mode, mcu_window=k)
+        for mode in (Termination.MCU, Termination.CU, Termination.RU)
+    )
+    heard: dict[int, int] = {}
+    forwarded: dict[int, int] = {}
+    for op, source, sn in steps:
+        p = pid(sn, source)
+        for criterion in (mcu, cu, ru):
+            if op == "heard":
+                criterion.check(p, 0.0, v)
+            else:
+                criterion.note_forwarded(p)
+        best = heard if op == "heard" else forwarded
+        best[source] = max(best.get(source, 0), sn)
+    assert mcu.sn_last == cu.sn_last == heard
+    assert ru.sn_last == forwarded
 
 
 # --------------------------------------------------------------------------
