@@ -112,14 +112,12 @@ def cmd_script(args) -> int:
 def cmd_report(args) -> int:
     base = harness.read_rows(args.baseline)
     cand = harness.read_rows(args.candidate)
-    rows = harness.transmission_reduction(base, cand)
-    print(f"transmission reduction, {args.candidate} vs {args.baseline}")
+    rows = harness.paired_differences(base, cand)
+    print(f"{args.candidate} minus {args.baseline}, paired on (sweep, seed), mean ± 95% CI")
     for row in rows:
-        pct = row["reduction_pct"]
-        shown = "undefined" if pct != pct else f"{pct:6.1f}%"
         print(
-            f"  sweep={row['sweep']:<6s} baseline={row['baseline_tx']:10.1f} "
-            f"candidate={row['candidate_tx']:10.1f} saved={shown}"
+            f"  sweep={row['sweep']:<6s} {row['metric']:<20s} pairs={row['pairs']:<3d} "
+            f"{row['mean']:+12.6g} ± {row['ci']:.6g}"
         )
     return 0
 
@@ -147,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     script.add_argument("--quiet", action="store_true", help="suppress the event log")
     script.set_defaults(func=cmd_script)
 
-    report = sub.add_parser("report", help="transmission savings between two raw CSVs")
+    report = sub.add_parser("report", help="paired differences between two variants' raw CSVs")
     report.add_argument("baseline")
     report.add_argument("candidate")
     report.set_defaults(func=cmd_report)

@@ -1,11 +1,13 @@
-"""XOR coding: packet pool, opportunity detection, encode/decode, gratis marks.
+"""XOR coding: packet pool, holder estimates, opportunity detection, encode/decode.
 
 A coding plan is a set of buffered packets whose XOR every current neighbour
 can decode, i.e. every neighbour already holds all constituents but at most
-one.  The lightweight detector estimates who holds a packet from the
-neighbourhoods of the hops heard transmitting it; the reception-table variant
-tracks per-neighbour holdings explicitly from overheard traffic, in a
-:class:`~nobcr.model.ReceptionTable` (re-exported here).
+one.  Who holds a packet is estimated by a ``holders(pid, now)`` function.
+The lightweight one (:func:`hop_estimate`) takes the neighbourhoods of the
+hops heard transmitting the packet; the reception-table variant tracks
+per-neighbour holdings explicitly from overheard traffic, in a
+:class:`~nobcr.model.ReceptionTable` (re-exported here) whose ``holders``
+method is the estimate.
 """
 from __future__ import annotations
 
@@ -68,6 +70,17 @@ def receivers_of(entry: PoolEntry, view: NeighborView) -> NodeSet:
     return view.union_of(entry.prev_hops)
 
 
+def hop_estimate(pool: PacketPool, view: NeighborView) -> Callable[[PacketId, float], NodeSet]:
+    """The lightweight estimate as ``holders(pid, now)``: :func:`receivers_of`
+    the pooled entry, and nobody for a packet no longer pooled."""
+
+    def holders(pid: PacketId, now: float) -> NodeSet:
+        entry = pool.get(pid)
+        return receivers_of(entry, view) if entry is not None else 0
+
+    return holders
+
+
 class PlanItem(NamedTuple):
     pid: PacketId
     gratis: bool
@@ -92,20 +105,21 @@ def detect_coding(
     seed: PlanItem,
     queue: Iterable[OutEntry],
     view: NeighborView,
-    known_of: Callable[[PacketId], NodeSet],
+    holders: Callable[[PacketId, float], NodeSet],
+    now: float,
     allow_gratis_pair: bool = False,
 ) -> list[PlanItem]:
     """Greedy coding-plan growth seeded with one packet.
 
     A queued packet q is admitted when every neighbour currently missing some
-    admitted constituent is estimated to hold q (so everyone stays at most one
-    constituent short).  Native candidates are scanned first in ascending
+    admitted constituent is estimated, by ``holders(pid, now)``, to hold q (so
+    everyone stays at most one constituent short).  Native candidates are scanned first in ascending
     deadline order; gratis candidates join only afterwards and only once the
     plan already has two members, unless ``allow_gratis_pair`` permits pairing
     directly with an expiring native seed.
     """
     one_hop = view.one_hop
-    s = known_of(seed.pid)  # neighbours holding everything admitted so far
+    s = holders(seed.pid, now)  # neighbours holding everything admitted so far
     c = one_hop & ~s  # neighbours missing exactly one admitted constituent
     plan = [seed]
     ordered = sorted(queue, key=_BY_DEADLINE)
@@ -113,7 +127,7 @@ def detect_coding(
     for q in ordered:
         if q.gratis or q.pid == seed.pid:
             continue
-        z = known_of(q.pid)
+        z = holders(q.pid, now)
         if c & ~z == 0:
             new_s = s & z
             assert new_s & ~s == 0 and c & ~(one_hop & ~new_s) == 0
@@ -125,7 +139,7 @@ def detect_coding(
         for q in ordered:
             if not q.gratis or q.pid == seed.pid:
                 continue
-            z = known_of(q.pid)
+            z = holders(q.pid, now)
             # A gratis constituent must still be useful: skip it once every
             # neighbour is estimated to hold it, as no delay gain is possible
             # and it would only put the encoding's decodability at risk.
@@ -190,9 +204,3 @@ def encode(
         payload_len=payload_len,
         tx_node=tx_node,
     )
-
-
-def mark_gratis(entry: PoolEntry, view: NeighborView) -> bool:
-    """A packet this node was not elected to relay is worth keeping gratis
-    when some current neighbour is not yet estimated to hold it."""
-    return view.one_hop & ~receivers_of(entry, view) != 0

@@ -238,29 +238,42 @@ def read_rows(path: str | Path) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
-def transmission_reduction(baseline_rows: list[dict], candidate_rows: list[dict]) -> list[dict]:
-    """Relative transmission savings of candidate vs baseline per sweep value."""
+def _by_pair(rows: list[dict], what: str) -> dict[tuple[str, str], dict]:
+    """The rows of one variant keyed by (sweep, seed)."""
+    variants = sorted({r["variant"] for r in rows})
+    if len(variants) != 1:
+        raise ValueError(f"{what}: expected one variant, found {variants}")
+    keyed: dict[tuple[str, str], dict] = {}
+    for r in rows:
+        key = (r["sweep"], r["seed"])
+        if key in keyed:
+            raise ValueError(f"{what}: (sweep, seed) {key} appears twice")
+        keyed[key] = r
+    return keyed
 
-    def by_sweep(rows):
-        acc: dict[str, list[float]] = {}
-        for r in rows:
-            acc.setdefault(r["sweep"], []).append(float(r["data_tx"]))
-        return {k: sum(v) / len(v) for k, v in acc.items()}
 
-    base = by_sweep(baseline_rows)
-    cand = by_sweep(candidate_rows)
-    common = sorted(set(base) & set(cand), key=_sweep_sort)
+def paired_differences(baseline: list[dict], candidate: list[dict]) -> list[dict]:
+    """Candidate minus baseline, run by run, for every ``SUMMARY_COLUMNS`` key.
+
+    Each input holds the raw rows of one variant.  Rows are paired on (sweep,
+    seed): topology, mobility and traffic come from seed-keyed streams that no
+    variant setting touches, so a pair differs only by the variant.  Per sweep
+    point and metric, the result holds the number of pairs, the mean paired
+    difference and the half-width of its 95% t interval (``mean_ci``).
+    """
+    base = _by_pair(baseline, "baseline")
+    cand = _by_pair(candidate, "candidate")
+    common = base.keys() & cand.keys()
     if not common:
-        raise ValueError("no matching sweep values between the two files")
+        raise ValueError("no (sweep, seed) pair in common between the two files")
+    sweeps: dict[str, list[tuple[str, str]]] = {}
+    for key in sorted(common, key=lambda k: (_sweep_sort(k[0]), int(k[1]))):
+        sweeps.setdefault(key[0], []).append(key)
     out = []
-    for sweep in common:
-        b, c = base[sweep], cand[sweep]
-        out.append(
-            {
-                "sweep": sweep,
-                "baseline_tx": b,
-                "candidate_tx": c,
-                "reduction_pct": float("nan") if b == 0 else 100.0 * (b - c) / b,
-            }
-        )
+    for sweep, keys in sweeps.items():
+        for metric in SUMMARY_COLUMNS:
+            diffs = [float(cand[k][metric]) - float(base[k][metric]) for k in keys]
+            mean, half = mean_ci(diffs)
+            out.append({"sweep": sweep, "metric": metric, "pairs": len(keys), "mean": mean,
+                        "ci": half})
     return out

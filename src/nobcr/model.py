@@ -7,22 +7,13 @@ protocol hot paths (union/intersection/difference per reception) cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 NodeSet = int  # bitmask over node ids
-
-EMPTY: NodeSet = 0
 
 
 def bit(node: int) -> NodeSet:
     return 1 << node
-
-
-def from_ids(ids: Iterable[int]) -> NodeSet:
-    mask = 0
-    for i in ids:
-        mask |= 1 << i
-    return mask
 
 
 def members(mask: NodeSet) -> Iterator[int]:
@@ -31,14 +22,6 @@ def members(mask: NodeSet) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def full_set(n_nodes: int) -> NodeSet:
-    return (1 << n_nodes) - 1
-
-
-def card(mask: NodeSet) -> int:
-    return mask.bit_count()
 
 
 class PacketId(NamedTuple):
@@ -65,11 +48,14 @@ class ReceptionTable:
     :meth:`mark` raises ``ValueError`` on a deadline below the packet's last
     one.
 
-    Two users share it.  The reception-table coding detector marks every
+    Two users keep one each.  Under reception-table coding a node marks every
     constituent of an overheard transmission as held by the transmitter and
-    by the current neighbours known to be in its range.  The M/U termination
-    criterion marks each transmitter heard sending a native copy, and relays
-    while some current neighbour is unmarked.
+    by the current neighbours known to be in its range, and its own
+    transmissions as held by every current neighbour; :meth:`holders` is
+    then the node's one holder estimate, read by coding detection and by
+    gratis marking alike.  The M/U termination criterion marks each
+    transmitter heard sending a native copy, and relays while some current
+    neighbour is unmarked.
     """
 
     __slots__ = ("ttl", "_gens")

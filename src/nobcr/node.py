@@ -6,8 +6,10 @@ Node; the node answers with a list of what it created (:data:`Action`): a
 deadline, a new ``PoolEntry`` to evict once the pool lifetime has passed.
 Each timer hands its own entry back, and the handler acts only while that
 entry is still the one queued or pooled for its packet.  All protocol state
-lives here: neighbour view, termination state, packet pool, reception table,
-output queue.
+lives here: neighbour view, termination state, packet pool, reception table
+(under table coding), output queue, decode bank.  A node keeps one holder
+estimate, :attr:`Node.holders`, fixed at construction by the coding mode:
+coding detection and gratis marking both read it.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from . import coding
 from .coding import OutEntry, PacketPool, PlanItem, PoolEntry, ReceptionTable
 from .config import Coding, ScenarioConfig
 from .forwarding import elect_forwarders, elect_source_forwarders
-from .model import ConstituentHeader, NeighborView, Packet, PacketId
+from .model import ConstituentHeader, NeighborView, NodeSet, Packet, PacketId
 from .termination import Decision, TerminationState
 
 
@@ -61,6 +63,10 @@ class Node:
         self.view = NeighborView(owner=node_id)
         self.pool = PacketPool(config.pool_lifetime)
         self.table = ReceptionTable(config.table_expiry) if config.coding is Coding.TABLE else None
+        # the one holder estimate, read by coding detection and gratis marking
+        self.holders: Callable[[PacketId, float], NodeSet] = (
+            self.table.holders if self.table is not None else coding.hop_estimate(self.pool, self.view)
+        )
         self.term = TerminationState(
             mode=config.termination,
             mcu_window=config.mcu_window,
@@ -81,24 +87,13 @@ class Node:
             detail = " ".join(f"{p:.3f}" if isinstance(p, float) else str(p) for p in parts)
             self.log.add(now, self.id, kind, detail)
 
-    def _known_of(self, now: float) -> Callable[[PacketId], int]:
-        if self.table is not None:
-            table = self.table
-            return lambda pid: table.holders(pid, now)
-        pool, view = self.pool, self.view
-
-        def known(pid: PacketId) -> int:
-            entry = pool.get(pid)
-            return coding.receivers_of(entry, view) if entry is not None else 0
-
-        return known
-
     def _detect(self, seed: PlanItem, now: float, allow_gratis_pair: bool) -> list[PlanItem]:
         return coding.detect_coding(
             seed,
             self.queue.values(),
             self.view,
-            self._known_of(now),
+            self.holders,
+            now,
             allow_gratis_pair=allow_gratis_pair,
         )
 
@@ -194,7 +189,7 @@ class Node:
             self.term.observe_transmitter(tx_node, c.pid, now)
 
         if c.gratis and not self.config.gratis_rule_off:
-            self._on_gratis_arrival(c.pid, entry, was_new, now, actions)
+            self._on_gratis_arrival(c.pid, was_new, now, actions)
             return
 
         # native handling (also applies to gratis arrivals when the receiving
@@ -226,12 +221,12 @@ class Node:
             if c.pid in self.queue:
                 self._logev(now, "gratis-already-queued", c.pid)
                 return
-            self._buffer_gratis(entry, now, actions)
+            self._buffer_gratis(c.pid, now, actions)
         else:
             self._logev(now, "drop-notfwd", c.pid)
 
     def _on_gratis_arrival(
-        self, pid: PacketId, entry, was_new: bool, now: float, actions: list[Action]
+        self, pid: PacketId, was_new: bool, now: float, actions: list[Action]
     ) -> None:
         """Gratis receiving rule: a gratis copy never touches termination
         state, so a later native copy still gets a fresh relay decision.  A
@@ -243,16 +238,16 @@ class Node:
             self._logev(now, "gratis-ignored", pid)
             return
         if pid not in self.queue:
-            self._buffer_gratis(entry, now, actions)
+            self._buffer_gratis(pid, now, actions)
 
-    def _buffer_gratis(self, entry, now: float, actions: list[Action]) -> None:
+    def _buffer_gratis(self, pid: PacketId, now: float, actions: list[Action]) -> None:
         """Buffer a packet this node was not elected to relay as a gratis
         candidate, if some neighbour is still estimated to miss it."""
-        if coding.mark_gratis(entry, self.view):
+        if self.view.one_hop & ~self.holders(pid, now):
             self.metrics.gratis_buffered += 1
-            self._buffer(entry.pid, now, gratis=True, actions=actions)
+            self._buffer(pid, now, gratis=True, actions=actions)
         else:
-            self._logev(now, "gratis-nomark", entry.pid)
+            self._logev(now, "gratis-nomark", pid)
 
     def _resolve_bank(self, now: float, actions: list[Action]) -> None:
         """Retry banked encoded packets against the current pool.

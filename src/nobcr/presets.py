@@ -5,53 +5,49 @@ scenario knob across a set of protocol variants.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Any
 
 from .config import ScenarioConfig
 
 
 @dataclass(frozen=True)
 class VariantSpec:
+    """A protocol variant: a name and the config fields it fixes.  Fields it
+    leaves out (``rad_max`` for the delay-tolerant baselines) keep the
+    scenario's value."""
+
     name: str
-    termination: str
-    coding: str
-    coded_redundancy: bool
-    pruning: str
-    rad_max: float | None = None  # None: take the scenario's value
-    extra: tuple[tuple[str, float], ...] = ()  # further per-variant settings
+    settings: dict[str, Any]
 
     def apply(self, config: ScenarioConfig) -> ScenarioConfig:
-        changes = {
-            "termination": self.termination,
-            "coding": self.coding,
-            "coded_redundancy": self.coded_redundancy,
-            "pruning": self.pruning,
-        }
-        if self.rad_max is not None:
-            changes["rad_max"] = self.rad_max
-        changes.update(self.extra)
-        return config.replace(**changes)
+        return config.replace(**self.settings)
 
+
+# the protocol of the paper, whatever its coding: bitmap termination, pruning
+# against every known previous hop, a RAD window to find coding chances in
+_NOBCR = {"termination": "mcu", "pruning": "multiprev", "rad_max": 0.4}
+# the plain baselines: no coding, no gratis packets, single-previous-hop pruning
+_PLAIN = {"coding": "none", "coded_redundancy": False, "pruning": "pdp"}
 
 VARIANTS: dict[str, VariantSpec] = {
     v.name: v
     for v in [
-        # full protocol: bitmap termination, lightweight detection, gratis
-        # packets, pruning against every known previous hop
-        VariantSpec("nobcr", "mcu", "lightweight", True, "multiprev", 0.4),
-        VariantSpec("nobcr-nocr", "mcu", "lightweight", False, "multiprev", 0.4),
-        VariantSpec("nobcr-table", "mcu", "table", True, "multiprev", 0.4),
+        # lightweight detection with and without gratis packets, then reception tables
+        VariantSpec("nobcr", {**_NOBCR, "coding": "lightweight", "coded_redundancy": True}),
+        VariantSpec("nobcr-nocr", {**_NOBCR, "coding": "lightweight", "coded_redundancy": False}),
+        VariantSpec("nobcr-table", {**_NOBCR, "coding": "table", "coded_redundancy": True}),
         # coding with per-neighbour reception tables over classic pruning;
         # runs with the longer decode buffer usually paired with such tables
-        VariantSpec("codeb", "mu", "table", False, "pdp", 0.4,
-                    extra=(("pool_lifetime", 5.0),)),
+        VariantSpec("codeb", {"termination": "mu", "coding": "table", "coded_redundancy": False,
+                              "pruning": "pdp", "rad_max": 0.4, "pool_lifetime": 5.0}),
         # plain pruned flooding baselines, no assessment delay
-        VariantSpec("pdp-mu", "mu", "none", False, "pdp", 0.0),
-        VariantSpec("pdp-cu", "cu", "none", False, "pdp", 0.0),
-        VariantSpec("pdp-ru", "ru", "none", False, "pdp", 0.0),
+        VariantSpec("pdp-mu", {"termination": "mu", **_PLAIN, "rad_max": 0.0}),
+        VariantSpec("pdp-cu", {"termination": "cu", **_PLAIN, "rad_max": 0.0}),
+        VariantSpec("pdp-ru", {"termination": "ru", **_PLAIN, "rad_max": 0.0}),
         # delay-tolerant baselines whose RAD comes from the scenario sweep
-        VariantSpec("pdp-cu-rad", "cu", "none", False, "pdp", None),
-        VariantSpec("pdp-mcu", "mcu", "none", False, "pdp", None),
+        VariantSpec("pdp-cu-rad", {"termination": "cu", **_PLAIN}),
+        VariantSpec("pdp-mcu", {"termination": "mcu", **_PLAIN}),
     ]
 }
 

@@ -8,6 +8,15 @@ from __future__ import annotations
 import math
 import random
 from itertools import combinations
+from typing import Iterable
+
+
+def from_ids(ids: Iterable[int]) -> int:
+    """The bitmask of a set of node ids, for writing node sets in tests."""
+    mask = 0
+    for i in ids:
+        mask |= 1 << i
+    return mask
 
 
 class FullHistoryDedup:

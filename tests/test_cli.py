@@ -134,17 +134,35 @@ class TestScriptCommand:
         assert "error:" in capsys.readouterr().err
 
 
+def _raw_csv(path, runs):
+    """A raw CSV of (variant, seed, data_tx) runs at sweep 10, other columns 1."""
+    from nobcr.metrics import SUMMARY_COLUMNS
+
+    lines = ["#schema=nobcr-raw-1", ",".join(["variant", "sweep", "seed"] + SUMMARY_COLUMNS)]
+    for variant, seed, tx in runs:
+        values = [str(tx) if m == "data_tx" else "1" for m in SUMMARY_COLUMNS]
+        lines.append(",".join([variant, "10", str(seed)] + values))
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
 class TestReportCommand:
-    def test_reduction_table(self, tmp_path, capsys):
-        base = tmp_path / "base.csv"
-        cand = tmp_path / "cand.csv"
-        base.write_text("#schema=nobcr-raw-1\nsweep,data_tx\n10,200\n10,100\n")
-        cand.write_text("#schema=nobcr-raw-1\nsweep,data_tx\n10,90\n")
-        rc = main(["report", str(base), str(cand)])
+    def test_paired_table(self, tmp_path, capsys):
+        base = _raw_csv(tmp_path / "base.csv", [("pdp-cu", 1, 200), ("pdp-cu", 2, 100), ("pdp-cu", 3, 300)])
+        cand = _raw_csv(tmp_path / "cand.csv", [("nobcr", 3, 290), ("nobcr", 1, 190), ("nobcr", 2, 90)])
+        rc = main(["report", base, cand])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "transmission reduction" in out
-        assert "40.0%" in out
+        assert "paired on (sweep, seed)" in out
+        (tx,) = [line for line in out.splitlines() if " data_tx " in line]
+        assert "pairs=3" in tx and "-10 ± 0" in tx
+
+    def test_mixed_variants_exit_2(self, tmp_path, capsys):
+        base = _raw_csv(tmp_path / "base.csv", [("pdp-cu", 1, 200)])
+        mixed = _raw_csv(tmp_path / "mixed.csv", [("pdp-cu", 1, 200), ("nobcr", 2, 100)])
+        rc = main(["report", base, mixed])
+        assert rc == 2
+        assert "expected one variant" in capsys.readouterr().err
 
     def test_schemaless_input_exits_2(self, tmp_path, capsys):
         base = tmp_path / "base.csv"

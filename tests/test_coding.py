@@ -13,8 +13,8 @@ from nobcr.coding import (
     ReceptionTable,
     decode,
     detect_coding,
+    hop_estimate,
     encode,
-    mark_gratis,
     receivers_of,
 )
 from nobcr.model import (
@@ -22,11 +22,10 @@ from nobcr.model import (
     NeighborView,
     PacketId,
     bit,
-    from_ids,
     members,
 )
 
-from oracles import PairMarks, union_sets
+from oracles import PairMarks, from_ids, union_sets
 
 
 def pid(sn, source=0):
@@ -102,6 +101,18 @@ def test_receivers_union_advertised_neighbourhoods():
     assert receivers_of(entry, v) == from_ids({0, 2})
     pool.record_copy(pid(1), 3)
     assert receivers_of(entry, v) == from_ids({0, 2, 4})
+
+
+def test_hop_estimate_reads_the_pooled_entry():
+    v = NeighborView(owner=0)
+    v.note_hello(1, from_ids({0, 2}), now=0.0, horizon=10.0)
+    pool = PacketPool(lifetime=2.0)
+    holders = hop_estimate(pool, v)
+    assert holders(pid(1), 0.0) == 0  # not pooled: nobody is estimated
+    entry, _ = pool.record_copy(pid(1), 1, payload=1)
+    assert holders(pid(1), 0.0) == receivers_of(entry, v) == from_ids({0, 2})
+    del pool[pid(1)]
+    assert holders(pid(1), 0.0) == 0
 
 
 def test_unknown_hop_counts_only_itself():
@@ -330,7 +341,8 @@ def _detect(one_hop, known, seed_pid, queue, allow_pair=False):
         PlanItem(seed_pid, False),
         queue,
         v,
-        lambda p: known[p],
+        lambda p, now: known[p],
+        0.0,
         allow_pair,
     )
 
@@ -430,26 +442,3 @@ def test_detected_plans_always_decodable_everywhere():
         for nbr in one_hop:
             short = sum(1 for i in plan if not known[i.pid] & bit(nbr))
             assert short <= 1
-
-
-# --------------------------------------------------------------------------
-# Gratis marking
-# --------------------------------------------------------------------------
-
-
-def test_mark_gratis_rules():
-    v = NeighborView(owner=0)
-    v.note_hello(1, 0, now=0.0, horizon=10.0)
-    v.note_hello(2, 0, now=0.0, horizon=10.0)
-    pool = PacketPool(lifetime=2.0)
-    entry, _ = pool.record_copy(pid(1), 1, payload=1)
-    assert mark_gratis(entry, v)  # node 2 not estimated
-    # two mutually-neighbouring hops: their advertisements cover each other,
-    # so every current neighbour is estimated to hold the packet
-    v2 = NeighborView(owner=0)
-    v2.note_hello(1, from_ids({0, 2}), now=0.0, horizon=10.0)
-    v2.note_hello(2, from_ids({0, 1}), now=0.0, horizon=10.0)
-    pool2 = PacketPool(2.0)
-    entry2, _ = pool2.record_copy(pid(2), 1, payload=1)
-    pool2.record_copy(pid(2), 2)
-    assert not mark_gratis(entry2, v2)

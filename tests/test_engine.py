@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 from nobcr.config import Coding, ScenarioConfig, Termination
 from nobcr.engine import OnAir, Simulation, Waypoint, run_config, substream
 from nobcr.metrics import SimLog
-from nobcr.model import bit, from_ids, full_set, members
+from nobcr.model import bit, members
 
 from oracles import (
     PerReceiverPruning,
+    from_ids,
     overlapping_pairs,
     uniform_speed_time_average,
 )
@@ -238,7 +239,7 @@ def test_on_air_flags_what_the_per_receiver_rule_flags(n, steps):
         for k, e in enumerate(entries):
             if e[1] <= now and k not in read_at_end:
                 read_at_end[k] = e[3]  # the engine reads the mask at t1
-        receivers = mask & full_set(n)
+        receivers = mask & ((1 << n) - 1)
         if not receivers:
             continue  # the engine puts nothing on the air for a broadcast no one hears
         t0 = now + jitter

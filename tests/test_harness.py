@@ -16,11 +16,11 @@ from nobcr.harness import (
     aggregate,
     build_tasks,
     mean_ci,
+    paired_differences,
     read_rows,
     run_one,
     run_tasks,
     t_quantile,
-    transmission_reduction,
     write_agg_csv,
     write_delay_cdfs,
     write_raw_csv,
@@ -304,32 +304,49 @@ class TestDelayCdfs:
         assert lines[-1].endswith(",1")
 
 
-class TestTransmissionReduction:
-    def test_reduction_arithmetic(self):
-        base = [
-            {"sweep": "10", "data_tx": "200"},
-            {"sweep": "10", "data_tx": "100"},
-            {"sweep": "20", "data_tx": "400"},
-        ]
-        cand = [
-            {"sweep": "10", "data_tx": "90"},
-            {"sweep": "20", "data_tx": "500"},
-            {"sweep": "30", "data_tx": "1"},
-        ]
-        out = transmission_reduction(base, cand)
-        assert [r["sweep"] for r in out] == ["10", "20"]
-        assert out[0]["baseline_tx"] == 150.0
-        assert out[0]["reduction_pct"] == pytest.approx(40.0)
-        assert out[1]["reduction_pct"] == pytest.approx(-25.0)
+def _raw(variant, sweep, seed, **values):
+    """A raw row as read back from a CSV: every summary column, as text."""
+    row = {"experiment": "e", "variant": variant, "sweep": sweep, "seed": str(seed)}
+    row.update({metric: "0" for metric in SUMMARY_COLUMNS})
+    row.update({metric: str(v) for metric, v in values.items()})
+    return row
 
-    def test_zero_baseline_yields_nan(self):
-        out = transmission_reduction(
-            [{"sweep": "1", "data_tx": "0"}], [{"sweep": "1", "data_tx": "5"}]
-        )
-        assert math.isnan(out[0]["reduction_pct"])
 
-    def test_disjoint_sweeps_rejected(self):
-        with pytest.raises(ValueError, match="no matching sweep"):
-            transmission_reduction(
-                [{"sweep": "1", "data_tx": "1"}], [{"sweep": "2", "data_tx": "1"}]
-            )
+class TestPairedDifferences:
+    def test_pairs_on_sweep_and_seed(self):
+        base = [_raw("a", "10", s, data_tx=tx) for s, tx in [(1, 100), (2, 200), (3, 300)]]
+        base.append(_raw("a", "20", 1, data_tx=50))
+        # listed in another order, one seed the baseline lacks
+        cand = [_raw("b", "10", s, data_tx=tx) for s, tx in [(3, 290), (1, 95), (2, 180), (4, 1)]]
+        out = paired_differences(base, cand)
+        assert [(r["sweep"], r["metric"]) for r in out] == [("10", m) for m in SUMMARY_COLUMNS]
+        tx = next(r for r in out if r["metric"] == "data_tx")
+        mean, half = mean_ci([-5.0, -20.0, -10.0])
+        assert (tx["pairs"], tx["mean"], tx["ci"]) == (3, mean, half)
+        assert mean == pytest.approx(-35 / 3)
+        delivery = next(r for r in out if r["metric"] == "delivery_ratio")
+        assert (delivery["mean"], delivery["ci"]) == (0.0, 0.0)
+
+    def test_one_interval_per_sweep_point(self):
+        base = [_raw("a", sw, s, hello_tx=10) for sw in ("20", "10") for s in (1, 2)]
+        cand = [_raw("b", sw, s, hello_tx=10 + int(sw)) for sw in ("20", "10") for s in (1, 2)]
+        out = [r for r in paired_differences(base, cand) if r["metric"] == "hello_tx"]
+        assert [(r["sweep"], r["pairs"], r["mean"], r["ci"]) for r in out] == [
+            ("10", 2, 10.0, 0.0), ("20", 2, 20.0, 0.0),
+        ]
+
+    def test_more_than_one_variant_rejected(self):
+        mixed = [_raw("a", "10", 1), _raw("b", "10", 2)]
+        with pytest.raises(ValueError, match="baseline: expected one variant"):
+            paired_differences(mixed, [_raw("a", "10", 1)])
+        with pytest.raises(ValueError, match="candidate: expected one variant"):
+            paired_differences([_raw("a", "10", 1)], mixed)
+
+    def test_repeated_key_rejected(self):
+        twice = [_raw("a", "10", 1), _raw("a", "10", 1, data_tx=5)]
+        with pytest.raises(ValueError, match="appears twice"):
+            paired_differences([_raw("a", "10", 1)], twice)
+
+    def test_disjoint_keys_rejected(self):
+        with pytest.raises(ValueError, match="no \\(sweep, seed\\) pair in common"):
+            paired_differences([_raw("a", "10", 1)], [_raw("a", "10", 2)])

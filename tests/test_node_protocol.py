@@ -6,8 +6,10 @@ import pytest
 from nobcr.coding import OutEntry, PoolEntry
 from nobcr.config import Coding, Pruning, ScenarioConfig, Termination
 from nobcr.metrics import Metrics, SimLog
-from nobcr.model import ConstituentHeader, Packet, PacketId, bit, from_ids
+from nobcr.model import ConstituentHeader, Packet, PacketId, bit
 from nobcr.node import Node, make_payload
+
+from oracles import from_ids
 
 
 def make_config(**kw):
@@ -317,6 +319,42 @@ def test_gratis_not_buffered_without_audience():
     node.on_receive(gratis_pkt(p, tx_node=1), now=1.0)
     assert p not in node.queue
     assert log.filter(kind="gratis-nomark")
+
+
+def test_gratis_marking_rules():
+    # lightweight estimate: the advertised neighbourhoods of the hops heard
+    # sending p.  Under R/U a copy this node was not elected for leaves the
+    # relay decision open, so a second hop's copy is decided afresh.
+    log = SimLog()
+    node = make_node(
+        0, neighbors={1: from_ids({0, 2}), 2: from_ids({0, 1})},
+        termination=Termination.RU, log=log,
+    )
+    p = PacketId(3, 1)
+    (rad,) = rads(node.on_receive(native(p, tx_node=1), now=1.0))
+    assert rad.gratis  # node 1 advertises only {0, 2}: node 1 is not estimated
+    node.on_rad_expiry(rad, now=rad.deadline)
+    assert p not in node.queue
+    # node 2's neighbourhood adds node 1: every neighbour now holds p
+    assert not rads(node.on_receive(native(p, tx_node=2), now=1.5))
+    assert len(log.filter(kind="buffer-gratis")) == 1
+    assert len(log.filter(kind="gratis-nomark")) == 1
+
+
+def test_gratis_marking_reads_the_reception_table():
+    # neighbours 1 and 2 advertise only node 0.  Node 2's encoded p^q marks p
+    # and q held by node 2; node 1's native p marks p held by node 1.  The
+    # table, which detection also reads, then has every neighbour holding p,
+    # while node 1's neighbourhood alone would leave node 2 missing it.
+    log = SimLog()
+    node = make_node(0, neighbors={1: bit(0), 2: bit(0)}, coding=Coding.TABLE, log=log)
+    p, q = PacketId(3, 1), PacketId(4, 1)
+    node.on_receive(xor_pkt([p, q], tx_node=2), now=1.0)
+    assert log.filter(kind="decode-defer")
+    node.on_receive(native(p, tx_node=1), now=1.1)
+    assert [e[3] for e in log.filter(kind="gratis-nomark")] == [str(p)]
+    assert set(node.queue) == {q}  # q, recovered from the bank, only node 2 holds
+    assert node.table.holders(p, 1.1) == node.view.one_hop
 
 
 def test_gratis_promotion_to_native():

@@ -31,7 +31,7 @@ RAW_ROWS = [
     ("dense-sources", "codeb", "8cd924b93febc720242d81a4c8a4929fb187ad52e6bed88b6be015e722923adc"),
     ("dense-sources", "nobcr", "c1b2edd07eef2973d3d6ef66120e12910194fdc6d7765aa4f189cacc29823733"),
     ("dense-sources", "nobcr-nocr", "074c5b125af45407167c4d05a40195affe85985675fc672798534eb46e785aa2"),
-    ("dense-sources", "nobcr-table", "4051cba41ab61d65702568df6af2ba5095278f564a9a3647d7ed8f9ba4cd4629"),
+    ("dense-sources", "nobcr-table", "986102b7124f22358e362dc02abba862b0569e6f3fc0abee94e173c7b2eaaf43"),
     ("dense-sources", "pdp-cu", "218de12f42ca4f218ba1b58440e9128b36bc1916de0a1165b3902cb8ced8621a"),
     ("dense-sources", "pdp-cu-rad", "6033aeb299bc0676499aa9d668821a9b7de0cba02d6e0ca982c1b39c0304ea76"),
     ("dense-sources", "pdp-mcu", "01e95daf2c2ebdc183009358a28a5e30eed9dcfe236f0bcd15c0040528a1269c"),
@@ -42,19 +42,19 @@ RAW_ROWS = [
 ]
 SMALL_WINDOW_ROWS = [
     ("dense-sources", "nobcr", "f9bbf4898b1311c01d838f4baabe2935147a29dc73c39b9ad798ac2e73415fe5"),
-    ("dense-sources", "nobcr-table", "a60e8c65796e139d38f4e823050ed890e6d3032772efe9fe1f2795a327bc5175"),
+    ("dense-sources", "nobcr-table", "a29109b4a54623cb25b8d28726f098a274ea99ae410d4e71d33ece46c408c45b"),
     ("dense-sources", "pdp-mcu", "4c4ef688bf1254a829f97d8bad30521d307951b0131503d44616cc48d3657774"),
 ]
 SHORT_EXPIRY_ROWS = [
     ("dense-sources", "codeb", "9af99d4cf0763d3f20e6b9e4f168fb66a9c3fd5bb28e6842a3603980876893ca"),
     ("dense-sources", "nobcr", "d3e4a3e5fa27ee8af5529ee447b33a06ac3e422668d567b402fbfdbb6b02f927"),
-    ("dense-sources", "nobcr-table", "b94dab33e898b7d37531e7fc6dba7d8f14c7618fce26cfca9e470021724600c7"),
+    ("dense-sources", "nobcr-table", "65d59f9646ca9037f55118ffe588b7c5edba9957f19fc40d3bb13a0b27ce376c"),
     ("dense-sources", "pdp-mu", "1d1aa984d254d905b1fee517e652bd7f73042559f1a4bd5bb430b4d2933cfb24"),
 ]
 STORAGE_ROWS = [
     ("storage", "codeb", "93b826baa6818c8b2e23eb84eb5c9a038e98615decca34bf1c0d051d41a13876"),
     ("storage", "nobcr", "bca6fce3d14f0fa760e64de3c6e9bc4d0486b0c45794414b4b6eac816b9f70e9"),
-    ("storage", "nobcr-table", "1bcdefe9fc6294c247d5614fa6339868fca8a84227d47cec6aa8cc072687aa64"),
+    ("storage", "nobcr-table", "3ffd0470177c1d457a69b8f783ced3ab053fc6feb6d707ddcdde09c3c029aa11"),
 ]
 
 CASES = [
