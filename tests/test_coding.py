@@ -13,8 +13,8 @@ from nobcr.coding import (
     ReceptionTable,
     decode,
     detect_coding,
-    hop_estimate,
     encode,
+    hop_estimate,
     receivers_of,
 )
 from nobcr.model import (
