@@ -93,12 +93,9 @@ class OutEntry:
     pid: PacketId
     deadline: float
     gratis: bool
-    # buffering order, to break deadline ties: a promoted gratis entry keeps
-    # its old queue slot, so the queue's own order is not buffering order
-    token: int
 
 
-_BY_DEADLINE = attrgetter("deadline", "token")
+_BY_DEADLINE = attrgetter("deadline")
 
 
 def detect_coding(
@@ -114,7 +111,8 @@ def detect_coding(
     A queued packet q is admitted when every neighbour currently missing some
     admitted constituent is estimated, by ``holders(pid, now)``, to hold q (so
     everyone stays at most one constituent short).  Native candidates are scanned first in ascending
-    deadline order; gratis candidates join only afterwards and only once the
+    deadline order, ties in ``queue`` order (a node's queue is in buffering
+    order); gratis candidates join only afterwards and only once the
     plan already has two members, unless ``allow_gratis_pair`` permits pairing
     directly with an expiring native seed.
     """

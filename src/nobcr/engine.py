@@ -3,22 +3,8 @@
 Determinism: one event heap ordered by (time, insertion seq); every random
 draw comes from a purpose-and-node keyed substream derived from the run seed,
 so outcomes are reproducible bit for bit regardless of host or process count.
-
-Radio model.  A broadcast starts at ``now`` plus a uniform MAC jitter and
-lasts its size over the bandwidth.  Its receiver set is fixed at start time:
-the sender's static neighbours, or every node within ``tx_range`` of the
-sender at the start instant under mobility.  Each broadcast puts one RX event
-on the heap, at its end time; that event hands the packet to its receivers
-in ascending id order.  With ``collisions`` on, a reception is lost when
-another broadcast heard by the same receiver strictly overlaps it in time.
-
-Collisions are tracked per broadcast in ``OnAir``, which reproduces a rule
-that prunes a receiver's finished receptions as if broadcasts were handled
-in start order.  They are not: relays triggered by one reception start at
-``now`` plus their own jitter, so a later-handled broadcast can start before
-an earlier-handled one.  An overlap with a reception already pruned at that
-receiver then goes unnoticed; ``tests/test_engine.py`` pins this as a strict
-xfail.
+The channel is :class:`Radio`; :class:`Simulation` holds the heap, the nodes
+and the event loop.
 """
 from __future__ import annotations
 
@@ -100,44 +86,151 @@ class Waypoint:
         return x0 + vx * dt, y0 + vy * dt
 
 
-class OnAir:
-    """Collision bookkeeping: the broadcasts that may still collide.
+class Radio:
+    """The channel: who hears a broadcast, when it is on the air, and which
+    of its receptions collide.
 
-    Each entry is ``[t0, t1, tracking, collided]``: the broadcast's air time,
-    the receivers at which it is still tracked, and those at which it
-    collided.  A new broadcast B is compared with every entry A still on the
-    air.  If A ended by B's start, A stops being tracked at B's receivers;
-    otherwise, if they strictly overlap, both collide at the receivers that
-    hear B and still track A.  That untracking is the per-receiver pruning
-    whose missed overlaps the module docstring describes.
+    A broadcast starts at ``now`` plus a uniform MAC jitter and lasts its
+    size over the bandwidth.  Its receiver set is fixed at start time: the
+    sender's static neighbours, or every node within ``tx_range`` of the
+    sender at the start instant under mobility.  With ``collisions`` on, a
+    reception is lost when another broadcast heard by the same receiver
+    strictly overlaps it in time.
+
+    Collisions are tracked per broadcast in ``on_air`` entries
+    ``[t0, t1, tracking, collided]``: the broadcast's air time, the
+    receivers at which it is still tracked, and those at which it collided.
+    This reproduces a rule that prunes a receiver's finished receptions as
+    if broadcasts were sent in start order.  They are not: relays triggered
+    by one reception start at ``now`` plus their own jitter, so a later send
+    can start before an earlier one.  An overlap with a reception already
+    pruned at that receiver then goes unnoticed.  Nor does a sender wait for
+    its own previous send to end.  ``tests/test_engine.py`` pins both as
+    strict xfails.
     """
 
-    __slots__ = ("entries",)
+    def __init__(
+        self,
+        config: ScenarioConfig,
+        adjacency: Sequence[int] | None = None,
+        positions: Sequence[tuple[float, float]] | None = None,
+    ):
+        self.config = config
+        n = config.n_nodes
+        seed = config.seed
+        self.mac_rngs = [substream(seed, "mac", i) for i in range(n)]
+        self.on_air: list[list] = []
+        self.adjacency: list[int] | None = None
+        self.trajectories: list[Waypoint] | None = None
+        if adjacency is not None:
+            self.adjacency = list(adjacency)
+        elif config.speed_max > 0:
+            self.trajectories = [
+                Waypoint(
+                    substream(seed, "mob", i),
+                    config.area_side,
+                    config.speed_min,
+                    config.speed_max,
+                    config.pause_time,
+                    -config.mobility_warmup,
+                )
+                for i in range(n)
+            ]
+            # each trajectory's current leg, as Waypoint.leg() last reported it
+            self._legs = [traj.leg() for traj in self.trajectories]
+        else:
+            if positions is None:
+                positions = []
+                for i in range(n):
+                    rng = substream(seed, "mob", i)
+                    positions.append((rng.uniform(0, config.area_side), rng.uniform(0, config.area_side)))
+            r2 = config.tx_range * config.tx_range
+            adj = self.adjacency = [0] * n
+            for i in range(n):
+                xi, yi = positions[i]
+                for j in range(i + 1, n):
+                    xj, yj = positions[j]
+                    dx, dy = xi - xj, yi - yj
+                    if dx * dx + dy * dy <= r2:
+                        adj[i] |= 1 << j
+                        adj[j] |= 1 << i
+        # static runs: each sender's receivers as ids in ascending order
+        if self.adjacency is not None:
+            self._receiver_ids = [tuple(members(mask)) for mask in self.adjacency]
 
-    def __init__(self) -> None:
-        self.entries: list[list] = []
+    def positions(self, t: float) -> list[tuple[float, float]]:
+        """Every node's position at ``t``, equal to ``Waypoint.position(t)``.
 
-    def start(self, now: float, t0: float, t1: float, receivers: int) -> list:
-        """Register a broadcast on ``[t0, t1)`` heard by ``receivers``; return its entry.
-
-        The entry's collided mask is final once ``now`` reaches ``t1``: a
-        broadcast started then cannot overlap it.
+        Inside the cached leg (``t_start < t <= t_end``) this is the same
+        float expression ``position`` evaluates there, and ``position`` would
+        stay on that leg.  Any other ``t`` goes through ``position``, which
+        extends, rewinds or advances the leg exactly as it always has.
         """
+        legs = self._legs
+        out = []
+        for i, (t0, t1, x0, y0, vx, vy) in enumerate(legs):
+            if t0 < t <= t1:
+                dt = t - t0
+                out.append((x0 + vx * dt, y0 + vy * dt))
+            else:
+                traj = self.trajectories[i]
+                out.append(traj.position(t))
+                legs[i] = traj.leg()
+        return out
+
+    def receivers(self, sender: int, t: float) -> tuple[int, Sequence[int]]:
+        """Who hears a broadcast ``sender`` starts at ``t``: a mask, and the
+        same nodes as ids in ascending order."""
+        if self.adjacency is not None:
+            return self.adjacency[sender], self._receiver_ids[sender]
+        positions = self.positions(t)
+        xs, ys = positions[sender]
+        r2 = self.config.tx_range ** 2
+        mask = 0
+        ids = []
+        for j, (xj, yj) in enumerate(positions):
+            dx, dy = xs - xj, ys - yj
+            if dx * dx + dy * dy <= r2 and j != sender:
+                mask |= 1 << j
+                ids.append(j)
+        return mask, ids
+
+    def send(self, sender: int, now: float, nbytes: int) -> tuple[float, Sequence[int], list] | None:
+        """Put ``nbytes`` from ``sender`` on the air; return its end time
+        ``t1``, its receiver ids in ascending order and its on-air entry, or
+        None when no one hears it.
+
+        With ``collisions`` on, the new broadcast B is compared with every
+        entry A still on the air.  If A ended by B's start, A stops being
+        tracked at B's receivers; otherwise, if they strictly overlap, both
+        collide at the receivers that hear B and still track A.  The entry's
+        collided mask (``entry[3]``) is final once ``now`` reaches ``t1``: a
+        broadcast sent then cannot overlap it.  With ``collisions`` off it
+        stays 0.
+        """
+        cfg = self.config
+        jitter = self.mac_rngs[sender].uniform(0, cfg.mac_jitter) if cfg.mac_jitter > 0 else 0.0
+        t0 = now + jitter
+        t1 = t0 + nbytes * 8.0 / cfg.bandwidth_bps
+        receivers, ids = self.receivers(sender, t0)
+        if not receivers:
+            return None
         entry = [t0, t1, receivers, 0]
-        live = []
-        for a in self.entries:
-            if a[1] <= now:
-                continue  # ended: no later broadcast can overlap it
-            live.append(a)
-            if a[1] <= t0:
-                a[2] &= ~receivers
-            elif a[0] < t1:  # strict interval overlap
-                hit = a[2] & receivers
-                a[3] |= hit
-                entry[3] |= hit
-        live.append(entry)
-        self.entries = live
-        return entry
+        if cfg.collisions:
+            live = []
+            for a in self.on_air:
+                if a[1] <= now:
+                    continue  # ended: no later broadcast can overlap it
+                live.append(a)
+                if a[1] <= t0:
+                    a[2] &= ~receivers
+                elif a[0] < t1:  # strict interval overlap
+                    hit = a[2] & receivers
+                    a[3] |= hit
+                    entry[3] |= hit
+            live.append(entry)
+            self.on_air = live
+        return t1, ids, entry
 
 
 class Simulation:
@@ -156,47 +249,13 @@ class Simulation:
         self.metrics = Metrics(config.n_nodes)
         self._heap: list = []
         self._seq = 0
-        self._on_air = OnAir()
+        self.radio = Radio(config, adjacency, positions)
 
         n = config.n_nodes
         seed = config.seed
         self._rad_rngs = [substream(seed, "rad", i) for i in range(n)]
-        self._mac_rngs = [substream(seed, "mac", i) for i in range(n)]
         self._hello_rngs = [substream(seed, "hello", i) for i in range(n)]
         self._rad_override = rad_override
-
-        self.adjacency: list[int] | None = None
-        self.trajectories: list[Waypoint] | None = None
-        self.positions: list[tuple[float, float]] | None = None
-        if adjacency is not None:
-            self.adjacency = list(adjacency)
-        elif config.speed_max > 0:
-            self.trajectories = [
-                Waypoint(
-                    substream(seed, "mob", i),
-                    config.area_side,
-                    config.speed_min,
-                    config.speed_max,
-                    config.pause_time,
-                    -config.mobility_warmup,
-                )
-                for i in range(n)
-            ]
-            # each trajectory's current leg, as Waypoint.leg() last reported it
-            self._legs = [traj.leg() for traj in self.trajectories]
-        else:
-            if positions is not None:
-                self.positions = [tuple(p) for p in positions]
-            else:
-                self.positions = []
-                for i in range(n):
-                    rng = substream(seed, "mob", i)
-                    self.positions.append((rng.uniform(0, config.area_side), rng.uniform(0, config.area_side)))
-            self.adjacency = self._static_adjacency(self.positions, config.tx_range)
-        # static runs: each sender's receivers as ids in ascending order
-        self._receiver_ids: list[tuple[int, ...]] | None = None
-        if self.adjacency is not None:
-            self._receiver_ids = [tuple(members(mask)) for mask in self.adjacency]
 
         self.nodes = [
             Node(i, config, self._make_rad_fn(i), self.metrics, self.log) for i in range(n)
@@ -217,23 +276,8 @@ class Simulation:
 
     # -- setup ---------------------------------------------------------------
 
-    @staticmethod
-    def _static_adjacency(positions, tx_range) -> list[int]:
-        n = len(positions)
-        adj = [0] * n
-        r2 = tx_range * tx_range
-        for i in range(n):
-            xi, yi = positions[i]
-            for j in range(i + 1, n):
-                xj, yj = positions[j]
-                dx, dy = xi - xj, yi - yj
-                if dx * dx + dy * dy <= r2:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-        return adj
-
     def _preconverge(self) -> None:
-        adj = self.adjacency
+        adj = self.radio.adjacency
         for node in self.nodes:
             view = node.view
             view.one_hop = adj[node.id]
@@ -274,7 +318,7 @@ class Simulation:
         and evict a new pool entry once the pool lifetime has passed."""
         for a in actions:
             if type(a) is Packet:
-                self._transmit_data(node_id, a, now)
+                self._broadcast(node_id, a, False, now)
             elif type(a) is OutEntry:
                 self._push(a.deadline, RAD, (node_id, a))
             elif type(a) is PoolEntry:
@@ -282,64 +326,17 @@ class Simulation:
             else:
                 raise TypeError(f"unknown action {a!r}")
 
-    # -- radio -----------------------------------------------------------------
-
-    def _positions(self, t: float) -> list[tuple[float, float]]:
-        """Every node's position at ``t``, equal to ``Waypoint.position(t)``.
-
-        Inside the cached leg (``t_start < t <= t_end``) this is the same
-        float expression ``position`` evaluates there, and ``position`` would
-        stay on that leg.  Any other ``t`` goes through ``position``, which
-        extends, rewinds or advances the leg exactly as it always has.
-        """
-        legs = self._legs
-        out = []
-        for i, (t0, t1, x0, y0, vx, vy) in enumerate(legs):
-            if t0 < t <= t1:
-                dt = t - t0
-                out.append((x0 + vx * dt, y0 + vy * dt))
-            else:
-                traj = self.trajectories[i]
-                out.append(traj.position(t))
-                legs[i] = traj.leg()
-        return out
-
-    def _receivers(self, sender: int, t: float) -> tuple[int, Sequence[int]]:
-        """Who hears a broadcast ``sender`` starts at ``t``: a mask, and the
-        same nodes as ids in ascending order."""
-        if self.adjacency is not None:
-            return self.adjacency[sender], self._receiver_ids[sender]
-        positions = self._positions(t)
-        xs, ys = positions[sender]
-        r2 = self.config.tx_range ** 2
-        mask = 0
-        ids = []
-        for j, (xj, yj) in enumerate(positions):
-            dx, dy = xs - xj, ys - yj
-            if dx * dx + dy * dy <= r2 and j != sender:
-                mask |= 1 << j
-                ids.append(j)
-        return mask, ids
-
-    def _broadcast(self, sender: int, nbytes: int, payload, is_hello: bool, now: float) -> None:
-        cfg = self.config
-        jitter = self._mac_rngs[sender].uniform(0, cfg.mac_jitter) if cfg.mac_jitter > 0 else 0.0
-        t0 = now + jitter
-        t1 = t0 + nbytes * 8.0 / cfg.bandwidth_bps
-        receivers, ids = self._receivers(sender, t0)
-        if not receivers:
-            return
-        air = self._on_air.start(now, t0, t1, receivers) if cfg.collisions else None
-        self._push(t1, RX, (ids, payload, is_hello, air))
-
-    def _transmit_data(self, sender: int, packet, now: float) -> None:
-        nbytes = packet.payload_len + 16 * len(packet.constituents)
-        self._broadcast(sender, nbytes, packet, is_hello=False, now=now)
-
-    def _transmit_hello(self, sender: int, now: float) -> None:
-        node = self.nodes[sender]
-        self.metrics.hello_tx += 1
-        self._broadcast(sender, node.make_hello_size(), (sender, node.view.one_hop), True, now)
+    def _broadcast(self, sender: int, payload, is_hello: bool, now: float) -> None:
+        """Send a data packet, or a hello ``(sender, one_hop)``, at its wire
+        size: 16 header bytes per constituent, 4 bytes per advertised id."""
+        if is_hello:
+            nbytes = 8 + 4 * (1 + payload[1].bit_count())
+        else:
+            nbytes = payload.payload_len + 16 * len(payload.constituents)
+        sent = self.radio.send(sender, now, nbytes)
+        if sent is not None:
+            t1, ids, entry = sent
+            self._push(t1, RX, (ids, payload, is_hello, entry))
 
     # -- main loop ---------------------------------------------------------------
 
@@ -353,8 +350,8 @@ class Simulation:
             if t > duration:
                 break
             if kind == RX:
-                ids, payload, is_hello, air = data
-                collided = air[3] if air is not None else 0
+                ids, payload, is_hello, entry = data
+                collided = entry[3]
                 for r in ids:
                     if collided >> r & 1:
                         self.metrics.collision_losses += 1
@@ -385,7 +382,8 @@ class Simulation:
             elif kind == HELLO:
                 node_id = data
                 nodes[node_id].periodic(t)
-                self._transmit_hello(node_id, t)
+                self.metrics.hello_tx += 1
+                self._broadcast(node_id, (node_id, nodes[node_id].view.one_hop), True, t)
                 self._push(
                     t + cfg.hello_interval * self._hello_rngs[node_id].uniform(0.9, 1.1),
                     HELLO,

@@ -74,7 +74,6 @@ class Node:
         )
         self.queue: dict[PacketId, OutEntry] = {}
         self.bank: list[BankedPacket] = []
-        self._next_token = 0
         self._cr = config.coded_redundancy and config.coding is not Coding.NONE
         self._hello_horizon = config.hello_interval * config.hello_expiry_factor
 
@@ -99,8 +98,9 @@ class Node:
 
     def _buffer(self, pid: PacketId, now: float, gratis: bool, actions: list[Action]) -> None:
         delay = self.rad_delay(pid)
-        self._next_token += 1
-        entry = OutEntry(pid, now + delay, gratis, self._next_token)
+        entry = OutEntry(pid, now + delay, gratis)
+        # a promoted gratis entry moves to the back: queue order is buffering order
+        self.queue.pop(pid, None)
         self.queue[pid] = entry
         actions.append(entry)
         self._logev(now, "buffer-gratis" if gratis else "buffer", pid, "until", entry.deadline)
@@ -348,9 +348,6 @@ class Node:
 
     def on_hello(self, sender: int, advertised: int, now: float) -> None:
         self.view.note_hello(sender, advertised, now, self._hello_horizon)
-
-    def make_hello_size(self) -> int:
-        return 8 + 4 * (1 + self.view.one_hop.bit_count())
 
     def periodic(self, now: float) -> None:
         """Housekeeping on a coarse timer: expire soft state."""

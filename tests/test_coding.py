@@ -36,8 +36,8 @@ def header(p, forwarders=0, gratis=False):
     return ConstituentHeader(pid=p, forwarders=forwarders, gratis=gratis, origin_time=0.0)
 
 
-def queued(p, deadline, token, gratis):
-    return OutEntry(p, deadline, gratis, token)
+def queued(p, deadline, gratis):
+    return OutEntry(p, deadline, gratis)
 
 
 # --------------------------------------------------------------------------
@@ -349,14 +349,14 @@ def _detect(one_hop, known, seed_pid, queue, allow_pair=False):
 
 def test_detect_admits_complementary_pair():
     known = {pid(1): bit(1), pid(2): bit(2)}
-    queue = [queued(pid(2), deadline=1.0, token=0, gratis=False)]
+    queue = [queued(pid(2), deadline=1.0, gratis=False)]
     plan = _detect({1, 2}, known, pid(1), queue)
     assert [i.pid for i in plan] == [pid(1), pid(2)]
 
 
 def test_detect_rejects_when_someone_misses_two():
     known = {pid(1): bit(1), pid(2): bit(1)}  # node 2 misses both
-    queue = [queued(pid(2), deadline=1.0, token=0, gratis=False)]
+    queue = [queued(pid(2), deadline=1.0, gratis=False)]
     plan = _detect({1, 2}, known, pid(1), queue)
     assert len(plan) == 1
 
@@ -366,23 +366,27 @@ def test_detect_scans_by_deadline_then_seq():
     # expiring first must win the slot
     known = {pid(1): bit(1), pid(2): bit(2), pid(3): bit(2)}
     queue = [
-        queued(pid(3), deadline=2.0, token=5, gratis=False),
-        queued(pid(2), deadline=1.0, token=9, gratis=False),
+        queued(pid(3), deadline=2.0, gratis=False),
+        queued(pid(2), deadline=1.0, gratis=False),
     ]
     plan = _detect({1, 2}, known, pid(1), queue)
     assert [i.pid for i in plan] == [pid(1), pid(2)]
+    # on equal deadlines the one buffered first, earlier in the queue, wins
+    queue = [queued(pid(3), deadline=1.0, gratis=False), queued(pid(2), deadline=1.0, gratis=False)]
+    plan = _detect({1, 2}, known, pid(1), queue)
+    assert [i.pid for i in plan] == [pid(1), pid(3)]
 
 
 def test_detect_skips_seed_duplicate_in_queue():
     known = {pid(1): bit(1)}
-    queue = [queued(pid(1), deadline=1.0, token=0, gratis=False)]
+    queue = [queued(pid(1), deadline=1.0, gratis=False)]
     plan = _detect({1, 2}, known, pid(1), queue)
     assert len(plan) == 1
 
 
 def test_gratis_joins_only_established_plans():
     known = {pid(1): bit(1), pid(2): bit(2)}
-    queue = [queued(pid(2), deadline=1.0, token=0, gratis=True)]
+    queue = [queued(pid(2), deadline=1.0, gratis=True)]
     plan = _detect({1, 2}, known, pid(1), queue)
     assert len(plan) == 1  # a lone native cannot pair with gratis by default
     plan = _detect({1, 2}, known, pid(1), queue, allow_pair=True)
@@ -392,8 +396,8 @@ def test_gratis_joins_only_established_plans():
 def test_gratis_skipped_once_everyone_holds_it():
     known = {pid(1): bit(1), pid(2): bit(2), pid(3): from_ids({1, 2})}
     queue = [
-        queued(pid(2), deadline=1.0, token=0, gratis=False),
-        queued(pid(3), deadline=2.0, token=1, gratis=True),
+        queued(pid(2), deadline=1.0, gratis=False),
+        queued(pid(3), deadline=2.0, gratis=True),
     ]
     plan = _detect({1, 2}, known, pid(1), queue)
     # pid(3) is estimated at every neighbour: coding it adds risk, no gain
@@ -408,9 +412,9 @@ def test_native_scan_runs_before_gratis_scan():
         pid(4): bit(2),
     }
     queue = [
-        queued(pid(4), deadline=0.5, token=0, gratis=True),
-        queued(pid(2), deadline=1.0, token=1, gratis=False),
-        queued(pid(3), deadline=2.0, token=2, gratis=True),
+        queued(pid(4), deadline=0.5, gratis=True),
+        queued(pid(2), deadline=1.0, gratis=False),
+        queued(pid(3), deadline=2.0, gratis=True),
     ]
     plan = _detect({1, 2, 3}, known, pid(1), queue)
     # the native join happens first even though a gratis member expires
@@ -433,8 +437,8 @@ def test_detected_plans_always_decodable_everywhere():
         pids = [pid(i + 1, source=i % 3) for i in range(n_pkts)]
         known = {p: from_ids(s for s in one_hop if rng.random() < 0.6) for p in pids}
         queue = [
-            queued(p, rng.uniform(0, 3), token, rng.random() < 0.3)
-            for token, p in enumerate(pids[1:], start=1)
+            queued(p, rng.uniform(0, 3), rng.random() < 0.3)
+            for p in pids[1:]
         ]
         plan = _detect(one_hop, known, pids[0], queue, rng.random() < 0.5)
         assert plan[0].pid == pids[0]

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from nobcr.config import Coding, ConfigError, Pruning, ScenarioConfig, Termination
-from nobcr.engine import Simulation
+from nobcr.engine import Simulation, substream
 from nobcr.presets import VARIANTS
 from nobcr.scenario import ScriptError, load_script
 
@@ -65,7 +65,9 @@ def test_views_start_from_the_true_adjacency_when_hellos_are_off():
     # without hellos nothing ever fills a view, so it starts converged
     cfg = ScenarioConfig.from_mapping({**REQUIRED, "hello_enabled": "off"})
     sim = Simulation(cfg)
-    pos = sim.positions
+    # static nodes are placed uniformly from each node's mobility substream
+    rngs = [substream(cfg.seed, "mob", i) for i in range(cfg.n_nodes)]
+    pos = [(rng.uniform(0, cfg.area_side), rng.uniform(0, cfg.area_side)) for rng in rngs]
     adj = [
         {j for j in range(cfg.n_nodes) if j != i and math.dist(pos[i], pos[j]) <= cfg.tx_range}
         for i in range(cfg.n_nodes)

@@ -52,7 +52,7 @@ def _missed(variant):
     log = SimLog()
     sim = Simulation(VARIANTS[variant].apply(IDEAL), log=log)
     metrics = sim.run()
-    adj = [set(members(mask)) for mask in sim.adjacency]
+    adj = [set(members(mask)) for mask in sim.radio.adjacency]
     generated: dict[int, int] = {}
     for _, source, _, _ in log.filter(kind="gen"):
         generated[source] = generated.get(source, 0) + 1

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nobcr.config import Coding, ScenarioConfig, Termination
-from nobcr.engine import OnAir, Simulation, Waypoint, run_config, substream
+from nobcr.engine import Radio, Simulation, Waypoint, run_config, substream
 from nobcr.metrics import SimLog
 from nobcr.model import bit, members
 
@@ -57,25 +57,39 @@ def test_substreams_are_reproducible_and_distinct():
 
 def test_static_adjacency_threshold_inclusive():
     positions = [(0.0, 0.0), (250.0, 0.0), (501.0, 0.0)]
-    adj = Simulation._static_adjacency(positions, tx_range=250.0)
+    adj = Radio(cfg(n_nodes=3, tx_range=250.0), positions=positions).adjacency
     assert adj[0] == bit(1)  # exactly at range still counts
     assert adj[1] == bit(0)  # 251 m exceeds it
     assert adj[2] == 0
 
 
 def _recorded_receivers(sim):
-    """Wrap the radio's receiver hook; return the list it appends
+    """Wrap the radio's receiver lookup; return the list it appends
     (sender, t0, mask, ids) to for every broadcast."""
     sends = []
-    receivers = sim._receivers
+    receivers = sim.radio.receivers
 
     def recording(sender, t0):
         mask, ids = receivers(sender, t0)
         sends.append((sender, t0, mask, ids))
         return mask, ids
 
-    sim._receivers = recording
+    sim.radio.receivers = recording
     return sends
+
+
+def _recorded_sizes(sim):
+    """Wrap the radio's send; return the list it appends (sender, nbytes) to
+    for every broadcast."""
+    sizes = []
+    send = sim.radio.send
+
+    def recording(sender, now, nbytes):
+        sizes.append((sender, nbytes))
+        return send(sender, now, nbytes)
+
+    sim.radio.send = recording
+    return sizes
 
 
 def test_static_receiver_ids_are_the_adjacency_members():
@@ -84,8 +98,8 @@ def test_static_receiver_ids_are_the_adjacency_members():
     sim.run()
     assert sends
     for sender, _, mask, ids in sends:
-        assert mask == sim.adjacency[sender]
-        assert ids == tuple(members(sim.adjacency[sender]))
+        assert mask == sim.radio.adjacency[sender]
+        assert ids == tuple(members(sim.radio.adjacency[sender]))
 
 
 def test_mobile_receiver_ids_are_the_nodes_in_range():
@@ -144,6 +158,17 @@ def test_offset_transmissions_do_not_collide():
     assert m.delivery_ratio() == 1.0
 
 
+def test_hello_size_grows_with_neighbours():
+    # a star: hub 0 advertises itself and three neighbours, each leaf two ids
+    star = [bit(1) | bit(2) | bit(3), bit(0), bit(0), bit(0)]
+    config = cfg(n_nodes=4, n_sources=0, hello_enabled=True, sim_duration=3.0)
+    sim = Simulation(config, adjacency=star)
+    sizes = _recorded_sizes(sim)
+    sim.run()
+    assert sizes
+    assert {sender: nbytes for sender, nbytes in sizes} == {0: 8 + 4 * 4, 1: 16, 2: 16, 3: 16}
+
+
 class FixedDraw:
     """Stands in for a MAC jitter stream: draws return ``values`` in turn,
     then repeat the last one."""
@@ -155,64 +180,43 @@ class FixedDraw:
         return self.values.pop(0) if len(self.values) > 1 else self.values[0]
 
 
+def _radio(adjacency, **kw):
+    """A radio with collisions on, where a byte lasts 1 ms on the air."""
+    return Radio(cfg(n_nodes=len(adjacency), collisions=True, bandwidth_bps=8000, **kw),
+                 adjacency=adjacency)
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
     reason="a reception pruned at a receiver by a broadcast starting after its end "
-    "is missed by a broadcast handled later that starts earlier",
+    "is missed by a broadcast sent later that starts earlier",
 )
 def test_out_of_start_order_overlap_collides():
-    # a star: 0, 1 and 2 each hear only hub 3; all three send at now=0, handled
-    # in id order, so B (node 1, +18 ms) is handled between A (+10 ms) and C (+11 ms)
-    star = [bit(3), bit(3), bit(3), bit(0) | bit(1) | bit(2)]
-    config = cfg(n_nodes=4, n_sources=3, collisions=True, mac_jitter=0.02, rad_max=0.0,
-                 pkt_size=984, sim_duration=5.0)
-    log = SimLog()
-    sim = Simulation(config, adjacency=star, injections=[(0.0, s, 1) for s in range(3)], log=log)
-    jitters = [0.010, 0.018, 0.011]
-    for sender, jitter in enumerate(jitters):
-        sim._mac_rngs[sender] = FixedDraw(jitter)
-    airtime = (config.pkt_size + 16) * 8.0 / config.bandwidth_bps
-    assert airtime == pytest.approx(0.004)
-    expected = overlapping_pairs([(j, j + airtime) for j in jitters])
+    # a star: 0, 1 and 2 each hear only hub 3; all three send 4 bytes at
+    # now=0 in id order, so B (node 1, +18 ms) is sent between A (+10 ms)
+    # and C (+11 ms)
+    radio = _radio([bit(3), bit(3), bit(3), bit(0) | bit(1) | bit(2)], mac_jitter=0.02)
+    for sender, jitter in enumerate([0.010, 0.018, 0.011]):
+        radio.mac_rngs[sender] = FixedDraw(jitter)
+    entries = [radio.send(sender, 0.0, 4)[2] for sender in range(3)]
+    expected = overlapping_pairs([(t0, t1) for t0, t1, _, _ in entries])
     assert expected == {0, 2}  # A and C overlap at the hub
-    m = sim.run()
-    lost_at_hub = [e[0] for e in log.filter(kind="rx-collision", node=3)]
-    assert lost_at_hub == pytest.approx(sorted(jitters[k] + airtime for k in expected))
-    assert m.collision_losses == len(expected)  # the hub then relays B alone
-
-
-def _back_to_back_sends():
-    """(sender, t0, t1) of every data broadcast on chain 0-1-2, where node 0
-    sends two packets 2 ms apart and node 1 relays each as it arrives, the
-    first after 2.5 ms of MAC jitter and the second at once."""
-    path = [bit(1), bit(0) | bit(2), bit(1)]
-    config = cfg(n_nodes=3, collisions=True, mac_jitter=0.02, rad_max=0.0, sim_duration=5.0)
-    sim = Simulation(config, adjacency=path, injections=[(1.0, 0, 1), (1.002, 0, 2)])
-    sim._mac_rngs[0] = FixedDraw(0.0)
-    sim._mac_rngs[1] = FixedDraw(0.0025, 0.0)
-    airtime = (config.pkt_size + 16) * 8.0 / config.bandwidth_bps
-    sends = _recorded_receivers(sim)
-    sim.run()
-    return [(sender, t0, t0 + airtime) for sender, t0, _, _ in sends]
-
-
-def test_back_to_back_sends_are_recorded():
-    # the hook the overlap test below records through sees every send
-    assert sorted(s for s, _, _ in _back_to_back_sends()) == [0, 0, 1, 1]
+    assert {k for k, entry in enumerate(entries) if entry[3] >> 3 & 1} == expected
 
 
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
     reason="each send starts at now plus a fresh MAC jitter whatever the sender "
-    "still has on the air, so one node's back-to-back relays can overlap",
+    "still has on the air, so one node's back-to-back sends can overlap",
 )
 def test_one_sender_never_overlaps_itself():
-    sends = _back_to_back_sends()
-    for u in (0, 1):
-        own = sorted((t0, t1) for s, t0, t1 in sends if s == u)
-        assert all(end <= start for (_, end), (start, _) in zip(own, own[1:])), (u, own)
+    # node 1 sends 4 bytes after 2.5 ms of jitter, then 4 more at 4 ms at once
+    radio = _radio([bit(1), bit(0) | bit(2), bit(1)], mac_jitter=0.02)
+    radio.mac_rngs[1] = FixedDraw(0.0025, 0.0)
+    entries = [radio.send(1, now, 4)[2] for now in (0.0, 0.004)]
+    assert overlapping_pairs([(t0, t1) for t0, t1, _, _ in entries]) == set()
 
 
 def _airtime_values(low):
@@ -220,32 +224,39 @@ def _airtime_values(low):
     return st.one_of(st.sampled_from([low, 1.0, 2.0]), st.floats(low, 3.0))
 
 
+def _byte_counts():
+    # at 1 ms a byte, the same durations as _airtime_values(0.25) in seconds
+    return st.one_of(st.sampled_from([250, 1000, 2000]), st.integers(250, 3000))
+
+
 @settings(deadline=None)
 @given(
     n=st.integers(1, 12),
     steps=st.lists(
-        st.tuples(_airtime_values(0.0), _airtime_values(0.0), _airtime_values(0.25),
+        st.tuples(_airtime_values(0.0), _airtime_values(0.0), _byte_counts(),
                   st.integers(0, (1 << 12) - 1)),
         max_size=40,
     ),
 )
 def test_on_air_flags_what_the_per_receiver_rule_flags(n, steps):
-    on_air = OnAir()
+    # step k is sent by its own node n + k, heard by the step's mask
+    adjacency = [0] * n + [mask & ((1 << n) - 1) for _, _, _, mask in steps]
+    radio = _radio(adjacency, mac_jitter=3.0)
     reference = PerReceiverPruning(n)
     entries, boxes, read_at_end = [], [], {}
     now = 0.0
-    for gap, jitter, duration, mask in steps:
+    for k, (gap, jitter, nbytes, _) in enumerate(steps):
         now += gap
-        for k, e in enumerate(entries):
-            if e[1] <= now and k not in read_at_end:
-                read_at_end[k] = e[3]  # the engine reads the mask at t1
-        receivers = mask & ((1 << n) - 1)
-        if not receivers:
-            continue  # the engine puts nothing on the air for a broadcast no one hears
-        t0 = now + jitter
-        t1 = t0 + duration
-        entries.append(on_air.start(now, t0, t1, receivers))
-        boxes.append(reference.add(t0, t1, set(members(receivers))))
+        for j, e in enumerate(entries):
+            if e[1] <= now and j not in read_at_end:
+                read_at_end[j] = e[3]  # the engine reads the mask at t1
+        radio.mac_rngs[n + k] = FixedDraw(jitter)
+        sent = radio.send(n + k, now, nbytes)
+        if sent is None:
+            continue  # no one hears it: nothing goes on the air
+        t1, ids, entry = sent
+        entries.append(entry)
+        boxes.append(reference.add(entry[0], t1, set(ids)))
     flagged = {(k, r) for k, e in enumerate(entries) for r in members(e[3])}
     expected = {(k, r) for k, box in enumerate(boxes) for r, flag in box.items() if flag[0]}
     assert flagged == expected
@@ -303,7 +314,7 @@ def test_hellos_converge_to_true_adjacency():
         seed=11,
     )
     sim = Simulation(config)
-    adj = sim.adjacency
+    adj = sim.radio.adjacency
     m = sim.run()
     assert m.hello_tx >= 20 * 5
     for node in sim.nodes:
@@ -376,7 +387,7 @@ def test_leg_cache_positions_equal_waypoint_positions(n, seed, speed_min, speed_
     config = cfg(n_nodes=n, n_sources=0, area_side=400.0, seed=seed, mac_jitter=0.02,
                  speed_min=speed_min, speed_max=speed_min + speed_span, pause_time=pause,
                  mobility_warmup=5.0, hello_enabled=True)
-    sim = Simulation(config)
+    radio = Radio(config)
 
     def walkers():
         return [
@@ -402,7 +413,7 @@ def test_leg_cache_positions_equal_waypoint_positions(n, seed, speed_min, speed_
             ahead = [leg[field] for leg in walker._legs if leg[field] >= t]
             near = st.one_of(st.just(0.0), st.floats(-config.mac_jitter, config.mac_jitter))
             t = max(0.0, data.draw(st.sampled_from(ahead[:3])) + data.draw(near))
-        assert sim._positions(t) == [w.position(t) for w in reference]
+        assert radio.positions(t) == [w.position(t) for w in reference]
 
 
 def test_pause_time_freezes_the_walker():

@@ -181,11 +181,6 @@ def test_stale_evict_spares_a_repooled_packet():
     assert p not in node.pool and p not in node.queue
 
 
-def test_hello_size_grows_with_neighbours():
-    node = make_node(0, neighbors={1: 0, 2: 0, 3: 0})
-    assert node.make_hello_size() == 8 + 4 * 4
-
-
 # --------------------------------------------------------------------------
 # Immediate coding at reception and at expiry
 # --------------------------------------------------------------------------
@@ -364,10 +359,13 @@ def test_gratis_promotion_to_native():
     node.on_receive(gratis_pkt(p, tx_node=1), now=1.0)
     first = node.queue[p]
     assert first.gratis
+    q = PacketId(4, 1)
+    node.on_receive(native(q, forwarders=bit(0), tx_node=1), now=1.01)
     node.on_receive(native(p, forwarders=bit(0), tx_node=2), now=1.02)
     second = node.queue[p]
     assert not second.gratis and second is not first
     assert log.filter(kind="promote")
+    assert list(node.queue) == [q, p]  # the promoted entry was buffered last
     assert node.on_rad_expiry(first, now=first.deadline) == []
 
 

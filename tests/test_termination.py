@@ -4,8 +4,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nobcr.config import Termination
+from nobcr.config import ScenarioConfig, Termination
+from nobcr.engine import Simulation
+from nobcr.metrics import SimLog
 from nobcr.model import NeighborView, PacketId, bit, members
+from nobcr.presets import VARIANTS
 from nobcr.termination import Decision, TerminationState
 
 from oracles import FullHistoryDedup, PairMarks, rebuild_window_bitmap, reordered_sn_stream
@@ -295,6 +298,28 @@ def test_mu_decisions_match_pair_marks(steps):
                 for u in members(mask)
             }
             assert kept == oracle.deadlines
+
+
+def _ring_flood_under_mu(**kw):
+    """Node 4's log kinds for one ``pdp-mu`` flood of (0, 1) on the ring
+    0-1-4-3-2-0, where nodes 2 and 4 hold each packet they relay for 0.5 s."""
+    ring = [bit(1) | bit(2), bit(0) | bit(4), bit(0) | bit(3), bit(2) | bit(4), bit(1) | bit(3)]
+    config = ScenarioConfig(n_nodes=5, area_side=500.0, sim_duration=10.0, n_sources=1,
+                            collisions=False, mac_jitter=0.0, hello_enabled=False, **kw)
+    log = SimLog()
+    sim = Simulation(VARIANTS["pdp-mu"].apply(config), adjacency=ring, injections=[(1.0, 0, 1)],
+                     rad_override=lambda node, _: 0.5 if node in (2, 4) else None, log=log)
+    sim.run()
+    return [kind for _, node, kind, _ in log.entries if node == 4]
+
+
+def test_mu_relays_again_once_a_neighbour_mark_lapses():
+    # 0 elects 1 and 2.  1 relays at once and elects 4, which marks 1 at
+    # ~1.002 s and relays at ~1.502 s.  2 relays at ~1.501 s and elects 3,
+    # which relays at ~1.502 s, before it hears 4, so it elects 4 again.
+    # That copy marks 3 at 4, which relays again only if 1's mark has lapsed.
+    assert _ring_flood_under_mu(mark_expiry=0.2) == ["buffer", "tx", "buffer", "tx"]
+    assert _ring_flood_under_mu() == ["buffer", "tx", "drop-term"]
 
 
 # --------------------------------------------------------------------------
