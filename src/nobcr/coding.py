@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .model import ConstituentHeader, NeighborView, NodeSet, Packet, PacketId, ReceptionTable
 
@@ -81,14 +81,10 @@ def hop_estimate(pool: PacketPool, view: NeighborView) -> Callable[[PacketId, fl
     return holders
 
 
-class PlanItem(NamedTuple):
-    pid: PacketId
-    gratis: bool
-
-
 @dataclass(slots=True)
 class OutEntry:
-    """A buffered packet waiting out its relay assessment delay."""
+    """A packet to send by ``deadline``; a plan is a list of these.  Queued,
+    it waits out its relay assessment delay."""
 
     pid: PacketId
     deadline: float
@@ -99,13 +95,13 @@ _BY_DEADLINE = attrgetter("deadline")
 
 
 def detect_coding(
-    seed: PlanItem,
+    seed: OutEntry,
     queue: Iterable[OutEntry],
     view: NeighborView,
     holders: Callable[[PacketId, float], NodeSet],
     now: float,
     allow_gratis_pair: bool = False,
-) -> list[PlanItem]:
+) -> list[OutEntry]:
     """Greedy coding-plan growth seeded with one packet.
 
     A queued packet q is admitted when every neighbour currently missing some
@@ -131,7 +127,7 @@ def detect_coding(
             assert new_s & ~s == 0 and c & ~(one_hop & ~new_s) == 0
             s = new_s
             c = one_hop & ~s
-            plan.append(PlanItem(q.pid, False))
+            plan.append(q)
 
     if len(plan) >= 2 or allow_gratis_pair:
         for q in ordered:
@@ -146,7 +142,7 @@ def detect_coding(
             if c & ~z == 0:
                 s &= z
                 c = one_hop & ~s
-                plan.append(PlanItem(q.pid, True))
+                plan.append(q)
     return plan
 
 

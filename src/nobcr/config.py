@@ -4,7 +4,7 @@ Configs load from flat ``key = value`` text files (``#`` comments allowed).
 Unknown keys are an error rather than silently ignored, so typos in sweep
 scripts fail fast.  Each value is parsed by the type annotated on its
 ``ScenarioConfig`` field (enum, bool, int, else float), so a new knob needs
-no parsing table.
+no parsing table.  A config is a frozen value, validated once when built.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ class Pruning(str, Enum):
     MULTIPREV = "multiprev"  # all recorded previous hops
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     # topology / radio
     n_nodes: int
@@ -86,7 +86,7 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         for key, enum_cls in _ENUM_HINTS.items():
-            setattr(self, key, _coerce(key, getattr(self, key), enum_cls))
+            object.__setattr__(self, key, _coerce(key, getattr(self, key), enum_cls))
         self.validate()
 
     def validate(self) -> None:

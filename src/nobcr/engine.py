@@ -36,7 +36,7 @@ class Waypoint:
     t >= 0 see a process that has already been moving for a while.
     """
 
-    __slots__ = ("rng", "side", "speed_min", "speed_max", "pause", "_legs", "_idx")
+    __slots__ = ("rng", "side", "speed_min", "speed_max", "pause", "_legs", "_idx", "leg")
 
     def __init__(self, rng, side, speed_min, speed_max, pause, t0):
         self.rng = rng
@@ -49,6 +49,8 @@ class Waypoint:
         # legs: (t_start, t_end, x0, y0, vx, vy)
         self._legs = [(t0, t0, x, y, 0.0, 0.0)]
         self._idx = 0
+        # the leg the last position query fell on
+        self.leg = self._legs[0]
 
     def _extend(self) -> None:
         t_start, t_end, x0, y0, vx, vy = self._legs[-1]
@@ -67,10 +69,6 @@ class Waypoint:
             t_arrive = t_end + travel
             self._legs.append((t_arrive, t_arrive + self.pause, dest_x, dest_y, 0.0, 0.0))
 
-    def leg(self) -> tuple[float, float, float, float, float, float]:
-        """The leg the last ``position`` query fell on: (t_start, t_end, x0, y0, vx, vy)."""
-        return self._legs[self._idx]
-
     def position(self, t: float) -> tuple[float, float]:
         while t > self._legs[-1][1]:
             self._extend()
@@ -81,7 +79,7 @@ class Waypoint:
         while idx + 1 < len(legs) and legs[idx][1] < t:
             idx += 1
         self._idx = idx
-        t0, t1, x0, y0, vx, vy = legs[idx]
+        t0, t1, x0, y0, vx, vy = self.leg = legs[idx]
         dt = min(t, t1) - t0
         return x0 + vx * dt, y0 + vy * dt
 
@@ -136,8 +134,6 @@ class Radio:
                 )
                 for i in range(n)
             ]
-            # each trajectory's current leg, as Waypoint.leg() last reported it
-            self._legs = [traj.leg() for traj in self.trajectories]
         else:
             if positions is None:
                 positions = []
@@ -161,21 +157,20 @@ class Radio:
     def positions(self, t: float) -> list[tuple[float, float]]:
         """Every node's position at ``t``, equal to ``Waypoint.position(t)``.
 
-        Inside the cached leg (``t_start < t <= t_end``) this is the same
-        float expression ``position`` evaluates there, and ``position`` would
-        stay on that leg.  Any other ``t`` goes through ``position``, which
-        extends, rewinds or advances the leg exactly as it always has.
+        Inside a walker's current ``leg`` (``t_start < t <= t_end``) this is
+        the same float expression ``position`` evaluates there, and
+        ``position`` would stay on that leg.  Any other ``t`` goes through
+        ``position``, which extends, rewinds or advances the leg exactly as it
+        always has.
         """
-        legs = self._legs
         out = []
-        for i, (t0, t1, x0, y0, vx, vy) in enumerate(legs):
+        for traj in self.trajectories:
+            t0, t1, x0, y0, vx, vy = traj.leg
             if t0 < t <= t1:
                 dt = t - t0
                 out.append((x0 + vx * dt, y0 + vy * dt))
             else:
-                traj = self.trajectories[i]
                 out.append(traj.position(t))
-                legs[i] = traj.leg()
         return out
 
     def receivers(self, sender: int, t: float) -> tuple[int, Sequence[int]]:
@@ -243,7 +238,6 @@ class Simulation:
         rad_override: Callable[[int, PacketId], float | None] | None = None,
         log: SimLog | None = None,
     ):
-        config.validate()
         self.config = config
         self.log = log
         self.metrics = Metrics(config.n_nodes)

@@ -52,9 +52,6 @@ class Metrics:
         self.sum_items_table = 0
         self.sum_pool_entries = 0
 
-    def on_generated(self) -> None:
-        self.generated += 1
-
     def on_delivery(self, node: int, pid: PacketId, delay: float) -> None:
         seen = self.delivered[node]
         if pid not in seen:
@@ -85,29 +82,19 @@ class Metrics:
         possible = self.generated * (self.n_nodes - 1)
         return self.deliveries / possible if possible else 0.0
 
-    def mean_stored_items(self) -> tuple[float, float]:
-        if not self.storage_samples:
-            return 0.0, 0.0
-        return (
-            self.sum_items_light / self.storage_samples,
-            self.sum_items_table / self.storage_samples,
-        )
-
     def summary(self) -> dict[str, float]:
         """One value per ``SUMMARY_COLUMNS`` key; a key with no derived value
         is the counter attribute of the same name."""
         delays = self.delay_samples
-        light, table = self.mean_stored_items()
+        samples = self.storage_samples
         derived = {
             "delivery_ratio": self.delivery_ratio(),
             "mean_delay": statistics.fmean(delays) if delays else 0.0,
             "median_delay": statistics.median(delays) if delays else 0.0,
             "p90_delay": _quantile(delays, 0.9),
-            "stored_items_light": light,
-            "stored_items_table": table,
-            "pool_entries_avg": (
-                self.sum_pool_entries / self.storage_samples if self.storage_samples else 0.0
-            ),
+            "stored_items_light": self.sum_items_light / samples if samples else 0.0,
+            "stored_items_table": self.sum_items_table / samples if samples else 0.0,
+            "pool_entries_avg": self.sum_pool_entries / samples if samples else 0.0,
         }
         return {
             key: derived[key] if key in derived else float(getattr(self, key))

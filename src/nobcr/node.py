@@ -14,11 +14,10 @@ coding detection and gratis marking both read it.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from typing import Callable
 
 from . import coding
-from .coding import OutEntry, PacketPool, PlanItem, PoolEntry, ReceptionTable
+from .coding import OutEntry, PacketPool, PoolEntry, ReceptionTable
 from .config import Coding, ScenarioConfig
 from .forwarding import elect_forwarders, elect_source_forwarders
 from .model import ConstituentHeader, NeighborView, NodeSet, Packet, PacketId
@@ -26,19 +25,6 @@ from .termination import Decision, TerminationState
 
 
 Action = Packet | OutEntry | PoolEntry
-
-
-@dataclass(slots=True)
-class BankedPacket:
-    """An encoded reception held back because >=2 constituents are unknown.
-
-    The XOR payload stays useful for as long as the decode context could
-    still arrive, so the packet is retried whenever the pool gains an entry
-    and only written off as a decode failure when this deadline passes.
-    """
-
-    packet: Packet
-    expiry: float
 
 
 def make_payload(pid: PacketId) -> int:
@@ -73,7 +59,12 @@ class Node:
             mark_expiry=config.mark_expiry,
         )
         self.queue: dict[PacketId, OutEntry] = {}
-        self.bank: list[BankedPacket] = []
+        # encoded receptions held back because >=2 constituents are unknown,
+        # as (expiry, packet): the XOR payload stays useful for as long as the
+        # decode context could still arrive, so a packet is retried whenever
+        # the pool gains an entry and written off as a decode failure once
+        # its expiry passes
+        self.bank: list[tuple[float, Packet]] = []
         self._cr = config.coded_redundancy and config.coding is not Coding.NONE
         self._hello_horizon = config.hello_interval * config.hello_expiry_factor
 
@@ -86,7 +77,7 @@ class Node:
             detail = " ".join(f"{p:.3f}" if isinstance(p, float) else str(p) for p in parts)
             self.log.add(now, self.id, kind, detail)
 
-    def _detect(self, seed: PlanItem, now: float, allow_gratis_pair: bool) -> list[PlanItem]:
+    def _detect(self, seed: OutEntry, now: float, allow_gratis_pair: bool) -> list[OutEntry]:
         return coding.detect_coding(
             seed,
             self.queue.values(),
@@ -105,7 +96,7 @@ class Node:
         actions.append(entry)
         self._logev(now, "buffer-gratis" if gratis else "buffer", pid, "until", entry.deadline)
 
-    def _transmit_plan(self, plan: list[PlanItem], now: float, actions: list[Action]) -> None:
+    def _transmit_plan(self, plan: list[OutEntry], now: float, actions: list[Action]) -> None:
         headers = []
         payloads = []
         any_gratis = False
@@ -160,7 +151,7 @@ class Node:
                         self.pool.record_copy(c.pid, tx)
                         if not c.gratis:
                             self.term.observe_transmitter(tx, c.pid, now)
-                self.bank.append(BankedPacket(pkt, now + self.pool.lifetime))
+                self.bank.append((now + self.pool.lifetime, pkt))
                 return actions
             recovered, payload = result.recovered_pid, result.recovered_payload
         else:
@@ -185,60 +176,45 @@ class Node:
             actions.append(entry)
             if c.pid.source != self.id:
                 self.metrics.on_delivery(self.id, c.pid, now - c.origin_time)
-        if not c.gratis:
-            self.term.observe_transmitter(tx_node, c.pid, now)
-
-        if c.gratis and not self.config.gratis_rule_off:
-            self._on_gratis_arrival(c.pid, was_new, now, actions)
-            return
-
-        # native handling (also applies to gratis arrivals when the receiving
-        # rule is disabled for comparison runs; their empty forwarder set then
-        # walks into the termination structures like any other copy)
-        # No extra once-only guard here: MC/U, C/U and R/U state already
-        # suppress re-relays.  M/U relays again whenever it is elected while
-        # some current neighbour has not itself been heard sending the packet
-        # (its own send marks nothing), long before any mark expires.
-        decision = self.term.check(c.pid, now, self.view)
-        if decision is Decision.DROP:
-            self._logev(now, "drop-term", c.pid)
-            return
-        if (c.forwarders >> self.id) & 1:
-            queued = self.queue.get(c.pid)
-            if queued is not None and not queued.gratis:
-                self._logev(now, "dup-queued", c.pid)
+        # Gratis receiving rule: a gratis copy never touches termination
+        # state, so a later native copy still gets a fresh relay decision.
+        # With the rule off (comparison runs) a gratis copy is checked like a
+        # native one, but its sender is no M/U evidence.
+        rule_gratis = c.gratis and not self.config.gratis_rule_off
+        if rule_gratis:
+            if not was_new:
+                self._logev(now, "gratis-dup", c.pid)
                 return
-            if self.config.coding is not Coding.NONE:
-                plan = self._detect(PlanItem(c.pid, False), now, allow_gratis_pair=False)
-                if len(plan) >= 2:
-                    self._transmit_plan(plan, now, actions)
-                    return
-            # buffer natively; an existing gratis entry is promoted
-            self._buffer(c.pid, now, gratis=False, actions=actions)
-            if queued is not None:
-                self._logev(now, "promote", c.pid)
-        elif self._cr:
-            if c.pid in self.queue:
-                self._logev(now, "gratis-already-queued", c.pid)
-                return
-            self._buffer_gratis(c.pid, now, actions)
         else:
-            self._logev(now, "drop-notfwd", c.pid)
-
-    def _on_gratis_arrival(
-        self, pid: PacketId, was_new: bool, now: float, actions: list[Action]
-    ) -> None:
-        """Gratis receiving rule: a gratis copy never touches termination
-        state, so a later native copy still gets a fresh relay decision.  A
-        copy of a packet still pooled is a duplicate."""
-        if not was_new:
-            self._logev(now, "gratis-dup", pid)
-            return
+            # No once-only guard: MC/U, C/U and R/U state suppress re-relays.
+            # M/U relays again whenever elected while some neighbour has not
+            # been heard sending the packet (its own send marks nothing).
+            decision = self.term.check(c.pid, now, self.view, None if c.gratis else tx_node)
+            if decision is Decision.DROP:
+                self._logev(now, "drop-term", c.pid)
+                return
+            if (c.forwarders >> self.id) & 1:
+                queued = self.queue.get(c.pid)
+                if queued is not None and not queued.gratis:
+                    self._logev(now, "dup-queued", c.pid)
+                    return
+                if self.config.coding is not Coding.NONE:
+                    plan = self._detect(OutEntry(c.pid, now, False), now, allow_gratis_pair=False)
+                    if len(plan) >= 2:
+                        self._transmit_plan(plan, now, actions)
+                        return
+                # buffer natively; an existing gratis entry is promoted
+                self._buffer(c.pid, now, gratis=False, actions=actions)
+                if queued is not None:
+                    self._logev(now, "promote", c.pid)
+                return
+        # a copy this node does not relay natively: a gratis candidate at most
         if not self._cr:
-            self._logev(now, "gratis-ignored", pid)
-            return
-        if pid not in self.queue:
-            self._buffer_gratis(pid, now, actions)
+            self._logev(now, "gratis-ignored" if rule_gratis else "drop-notfwd", c.pid)
+        elif c.pid in self.queue:
+            self._logev(now, "gratis-already-queued", c.pid)
+        else:
+            self._buffer_gratis(c.pid, now, actions)
 
     def _buffer_gratis(self, pid: PacketId, now: float, actions: list[Action]) -> None:
         """Buffer a packet this node was not elected to relay as a gratis
@@ -259,10 +235,9 @@ class Node:
         progress = True
         while progress:
             progress = False
-            for i, banked in enumerate(self.bank):
-                if banked.expiry <= now:
+            for i, (expiry, pkt) in enumerate(self.bank):
+                if expiry <= now:
                     continue
-                pkt = banked.packet
                 result = coding.decode(pkt, self.pool)
                 if not result.ok:
                     continue
@@ -285,12 +260,12 @@ class Node:
     def flush_bank(self, now: float) -> None:
         """Write off banked packets whose decode window has closed."""
         kept = []
-        for banked in self.bank:
-            if banked.expiry <= now:
+        for expiry, pkt in self.bank:
+            if expiry <= now:
                 self.metrics.decode_failures += 1
-                self._logev(now, "decode-fail", *(c.pid for c in banked.packet.constituents))
+                self._logev(now, "decode-fail", *(c.pid for c in pkt.constituents))
             else:
-                kept.append(banked)
+                kept.append((expiry, pkt))
         self.bank = kept
 
     def on_rad_expiry(self, entry: OutEntry, now: float) -> list[Action]:
@@ -307,7 +282,7 @@ class Node:
             plan = []
             for q in self.queue.values():
                 if not q.gratis:
-                    plan = self._detect(PlanItem(pid, True), now, allow_gratis_pair=False)
+                    plan = self._detect(entry, now, allow_gratis_pair=False)
                     break
             if len(plan) >= 2:
                 self._transmit_plan(plan, now, actions)
@@ -319,9 +294,9 @@ class Node:
             self._logev(now, "drop-term-late", pid)
             return actions
         if self.config.coding is Coding.NONE:
-            plan = [PlanItem(pid, False)]
+            plan = [entry]
         else:
-            plan = self._detect(PlanItem(pid, False), now, allow_gratis_pair=True)
+            plan = self._detect(entry, now, allow_gratis_pair=True)
         self._transmit_plan(plan, now, actions)
         return actions
 
@@ -331,9 +306,9 @@ class Node:
         assert was_new, "source sequence numbers must not repeat"
         actions: list[Action] = [entry]
         self.term.check(pid, now, self.view)  # register own packet
-        self.metrics.on_generated()
+        self.metrics.generated += 1
         self._logev(now, "gen", pid)
-        self._transmit_plan([PlanItem(pid, False)], now, actions)
+        self._transmit_plan([OutEntry(pid, now, False)], now, actions)
         return actions
 
     def on_pool_evict(self, entry: PoolEntry, now: float) -> None:

@@ -28,9 +28,11 @@ C/U        ``sn_last``                        ``check`` stores a larger SN;
 R/U        ``sn_last``                        ``check`` only reads;
                                               ``note_forwarded`` stores;
                                               ``stale_at_expiry``
-M/U        ``marks``: a ``ReceptionTable``    ``check`` only reads;
-           of transmitters heard, each with   ``observe_transmitter`` marks;
-           its own expiry                     ``stale_at_expiry`` re-checks;
+M/U        ``marks``: a ``ReceptionTable``    ``check`` marks the transmitter
+           of transmitters heard, each with   heard, then reads;
+           its own expiry                     ``observe_transmitter`` marks
+                                              for deferred packets only;
+                                              ``stale_at_expiry`` re-checks;
                                               ``prune`` expires marks
 =========  =================================  ==============================
 """
@@ -64,9 +66,15 @@ class TerminationState:
         if self.mode is Termination.MU:
             self.marks = ReceptionTable(self.mark_expiry)
 
-    def check(self, p: PacketId, now: float, view: NeighborView) -> Decision:
-        """Relay decision for a native copy of p, heard or generated here."""
+    def check(
+        self, p: PacketId, now: float, view: NeighborView, tx_node: int | None = None
+    ) -> Decision:
+        """Relay decision for a copy of p.  Under M/U ``tx_node``, the
+        neighbour heard sending a native copy, evidently holds p and is marked
+        first; it is None for an own packet, a re-check or a gratis copy."""
         if self.marks is not None:
+            if tx_node is not None:
+                self.marks.mark(p, bit(tx_node), now)
             # relay while some current neighbour has no valid mark for p
             if view.one_hop & ~self.marks.holders(p, now):
                 return Decision.RELAY_ELIGIBLE
@@ -110,7 +118,8 @@ class TerminationState:
         return self.sn_last.get(p.source, 0) > p.sn
 
     def observe_transmitter(self, tx_node: int, p: PacketId, now: float) -> None:
-        """M/U bookkeeping: the transmitting neighbour evidently holds p."""
+        """M/U bookkeeping for a copy that makes no relay decision (a decode
+        deferred): the transmitting neighbour evidently holds p."""
         if self.marks is not None:
             self.marks.mark(p, bit(tx_node), now)
 

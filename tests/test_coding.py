@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 from nobcr.coding import (
     OutEntry,
     PacketPool,
-    PlanItem,
     ReceptionTable,
     decode,
     detect_coding,
@@ -338,7 +337,7 @@ def _detect(one_hop, known, seed_pid, queue, allow_pair=False):
     for u in one_hop:
         v.note_hello(u, 0, now=0.0, horizon=10.0)
     return detect_coding(
-        PlanItem(seed_pid, False),
+        OutEntry(seed_pid, 0.0, False),
         queue,
         v,
         lambda p, now: known[p],
@@ -352,6 +351,7 @@ def test_detect_admits_complementary_pair():
     queue = [queued(pid(2), deadline=1.0, gratis=False)]
     plan = _detect({1, 2}, known, pid(1), queue)
     assert [i.pid for i in plan] == [pid(1), pid(2)]
+    assert plan[1] is queue[0]
 
 
 def test_detect_rejects_when_someone_misses_two():

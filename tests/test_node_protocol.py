@@ -261,6 +261,18 @@ def test_gratis_arrival_rule_off_consumes_relay_decision():
     assert not rads(actions) and not transmits(actions)  # window already spent
 
 
+def test_gratis_copy_rule_off_marks_no_mu_holder():
+    # with the rule off a gratis copy reaches the termination check, but its
+    # sender is no M/U evidence: only the native copy's sender is marked
+    node = make_node(0, neighbors={1: 0, 2: 0, 3: 0}, termination=Termination.MU,
+                     gratis_rule_off=True)
+    p = PacketId(3, 1)
+    node.on_receive(gratis_pkt(p, tx_node=1), now=1.0)
+    assert node.term.marks.holders(p, 1.0) == 0
+    node.on_receive(native(p, forwarders=0, tx_node=2), now=1.5)
+    assert node.term.marks.holders(p, 1.5) == from_ids({2})
+
+
 def test_repeat_gratis_copies_are_ignored():
     log = SimLog()
     node = make_node(0, neighbors={1: 0, 2: 0}, log=log)

@@ -358,6 +358,7 @@ def test_state_dispatch_classic_and_marks():
 def test_observe_transmitter_ignored_outside_mu():
     st = TerminationState(Termination.CU)
     st.observe_transmitter(1, PacketId(0, 1), 0.0)
+    st.check(PacketId(0, 2), 0.0, NeighborView(owner=0), tx_node=1)
     assert st.marks is None
 
 
