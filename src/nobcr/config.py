@@ -20,7 +20,7 @@ class ConfigError(ValueError):
 
 
 class Termination(str, Enum):
-    MU = "MU"  # per-neighbour mark table, relay while some neighbour unmarked
+    MU = "MU"  # the node's reception table, relay while some neighbour unmarked
     RU = "RU"  # single sequence number, updated on actual forwards only
     CU = "CU"  # single sequence number, updated on every larger reception
     MCU = "MCU"  # sliding window bitmap per source
@@ -64,8 +64,7 @@ class ScenarioConfig:
     rad_max: float = 0.4  # relay assessment delay, uniform in [0, rad_max]
     pool_lifetime: float = 2.0  # packet pool retention (B_T)
     mcu_window: int = 64  # bitmap width k
-    mark_expiry: float = 5.0  # M/U neighbour mark retention
-    table_expiry: float = 5.0  # reception table retention (R_T)
+    table_expiry: float = 5.0  # reception table retention (R_T), for table coding and M/U
 
     # mobility (random waypoint; zero speed means a static run)
     speed_min: float = 0.0
@@ -105,7 +104,6 @@ class ScenarioConfig:
             "hello_expiry_factor",
             "pool_lifetime",
             "mcu_window",
-            "mark_expiry",
             "table_expiry",
         ):
             if getattr(self, name) <= 0:

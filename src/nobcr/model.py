@@ -48,14 +48,14 @@ class ReceptionTable:
     :meth:`mark` raises ``ValueError`` on a deadline below the packet's last
     one.
 
-    Two users keep one each.  Under reception-table coding a node marks every
-    constituent of an overheard transmission as held by the transmitter and
-    by the current neighbours known to be in its range, and its own
-    transmissions as held by every current neighbour; :meth:`holders` is
-    then the node's one holder estimate, read by coding detection and by
-    gratis marking alike.  The M/U termination criterion marks each
-    transmitter heard sending a native copy, and relays while some current
-    neighbour is unmarked.
+    A node keeps one table, under reception-table coding or M/U termination
+    or both.  It marks every constituent of an overheard transmission as held
+    by the transmitter and by the current neighbours known to be in its
+    range, and its own transmissions as held by every current neighbour.
+    Two readers share it: under table coding :meth:`holders` is the node's
+    one holder estimate, read by coding detection and by gratis marking
+    alike; the M/U termination criterion relays while some current neighbour
+    is unmarked.
     """
 
     __slots__ = ("ttl", "_gens")

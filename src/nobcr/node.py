@@ -7,9 +7,10 @@ deadline, a new ``PoolEntry`` to evict once the pool lifetime has passed.
 Each timer hands its own entry back, and the handler acts only while that
 entry is still the one queued or pooled for its packet.  All protocol state
 lives here: neighbour view, termination state, packet pool, reception table
-(under table coding), output queue, decode bank.  A node keeps one holder
-estimate, :attr:`Node.holders`, fixed at construction by the coding mode:
-coding detection and gratis marking both read it.
+(under table coding or M/U termination), output queue, decode bank.  A node
+keeps one holder estimate, :attr:`Node.holders`, fixed at construction by the
+coding mode: coding detection and gratis marking both read it.  Under M/U the
+termination criterion reads the same reception table.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from typing import Callable
 
 from . import coding
 from .coding import OutEntry, PacketPool, PoolEntry, ReceptionTable
-from .config import Coding, ScenarioConfig
+from .config import Coding, ScenarioConfig, Termination
 from .forwarding import elect_forwarders, elect_source_forwarders
 from .model import ConstituentHeader, NeighborView, NodeSet, Packet, PacketId
 from .termination import Decision, TerminationState
@@ -48,15 +49,16 @@ class Node:
         self.log = log
         self.view = NeighborView(owner=node_id)
         self.pool = PacketPool(config.pool_lifetime)
-        self.table = ReceptionTable(config.table_expiry) if config.coding is Coding.TABLE else None
+        table_coding = config.coding is Coding.TABLE
+        mu = config.termination is Termination.MU
+        # one reception table, read by table coding and by M/U termination
+        self.table = ReceptionTable(config.table_expiry) if table_coding or mu else None
         # the one holder estimate, read by coding detection and gratis marking
         self.holders: Callable[[PacketId, float], NodeSet] = (
-            self.table.holders if self.table is not None else coding.hop_estimate(self.pool, self.view)
+            self.table.holders if table_coding else coding.hop_estimate(self.pool, self.view)
         )
         self.term = TerminationState(
-            mode=config.termination,
-            mcu_window=config.mcu_window,
-            mark_expiry=config.mark_expiry,
+            config.termination, config.mcu_window, self.table if mu else None
         )
         self.queue: dict[PacketId, OutEntry] = {}
         # encoded receptions held back because >=2 constituents are unknown,
@@ -149,8 +151,6 @@ class Node:
                 for c in pkt.constituents:
                     if c.pid in self.pool:
                         self.pool.record_copy(c.pid, tx)
-                        if not c.gratis:
-                            self.term.observe_transmitter(tx, c.pid, now)
                 self.bank.append((now + self.pool.lifetime, pkt))
                 return actions
             recovered, payload = result.recovered_pid, result.recovered_payload
@@ -176,20 +176,20 @@ class Node:
             actions.append(entry)
             if c.pid.source != self.id:
                 self.metrics.on_delivery(self.id, c.pid, now - c.origin_time)
-        # Gratis receiving rule: a gratis copy never touches termination
-        # state, so a later native copy still gets a fresh relay decision.
-        # With the rule off (comparison runs) a gratis copy is checked like a
-        # native one, but its sender is no M/U evidence.
+        # Gratis receiving rule: a gratis copy makes no relay decision, so a
+        # later native copy still gets a fresh one.  With the rule off
+        # (comparison runs) a gratis copy is checked like a native one.  The
+        # reception table M/U reads is marked by every copy, gratis or not,
+        # as it is for table coding; no variant pairs M/U with gratis coding.
         rule_gratis = c.gratis and not self.config.gratis_rule_off
         if rule_gratis:
             if not was_new:
                 self._logev(now, "gratis-dup", c.pid)
                 return
         else:
-            # No once-only guard: MC/U, C/U and R/U state suppress re-relays.
-            # M/U relays again whenever elected while some neighbour has not
-            # been heard sending the packet (its own send marks nothing).
-            decision = self.term.check(c.pid, now, self.view, None if c.gratis else tx_node)
+            # No once-only guard: MC/U, C/U and R/U state suppress re-relays,
+            # and under M/U the node's own send marks every neighbour.
+            decision = self.term.check(c.pid, now, self.view)
             if decision is Decision.DROP:
                 self._logev(now, "drop-term", c.pid)
                 return
@@ -330,4 +330,3 @@ class Node:
         self.flush_bank(now)
         if self.table is not None:
             self.table.prune(now)
-        self.term.prune(now)

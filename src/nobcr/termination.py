@@ -15,6 +15,14 @@ MC/U window layout: a shift register below ``sn_last``.  Bit i of
 (0 <= i < k).  An advance shifts the register left by the gap and sets bit 0;
 bits shifted past k - 1 have left the window.
 
+M/U is the neighbour elimination rule of Stojmenovic, Seddigh and Zunic
+(IEEE TPDS 2002): a packet is relayed while some current neighbour is not
+known to hold it, and hearing a node send it covers that node's neighbours.
+The node keeps that knowledge in its one reception table and marks it
+itself: every overheard copy marks the transmitter and the neighbours known
+to be in its range, gratis copies included, and an own send marks every
+neighbour.  The criterion only reads the table, which the node also prunes.
+
 The node calls the same hooks of :class:`TerminationState` whatever the
 criterion; each criterion acts on the hooks it needs and ignores the rest:
 
@@ -28,12 +36,8 @@ C/U        ``sn_last``                        ``check`` stores a larger SN;
 R/U        ``sn_last``                        ``check`` only reads;
                                               ``note_forwarded`` stores;
                                               ``stale_at_expiry``
-M/U        ``marks``: a ``ReceptionTable``    ``check`` marks the transmitter
-           of transmitters heard, each with   heard, then reads;
-           its own expiry                     ``observe_transmitter`` marks
-                                              for deferred packets only;
-                                              ``stale_at_expiry`` re-checks;
-                                              ``prune`` expires marks
+M/U        ``marks``: the node's reception    ``check`` reads;
+           table                              ``stale_at_expiry`` re-checks
 =========  =================================  ==============================
 """
 from __future__ import annotations
@@ -43,7 +47,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .config import Termination
-from .model import NeighborView, PacketId, ReceptionTable, bit
+from .model import NeighborView, PacketId, ReceptionTable
 
 
 class Decision(Enum):
@@ -57,24 +61,13 @@ class TerminationState:
 
     mode: Termination
     mcu_window: int = 64
-    mark_expiry: float = 5.0
+    marks: ReceptionTable | None = None  # M/U only: the node's reception table
     windows: dict[int, int] = field(default_factory=dict)  # MC/U only
     sn_last: dict[int, int] = field(default_factory=dict)  # a missing source reads 0: SNs start at 1
-    marks: ReceptionTable | None = None  # M/U only
 
-    def __post_init__(self) -> None:
-        if self.mode is Termination.MU:
-            self.marks = ReceptionTable(self.mark_expiry)
-
-    def check(
-        self, p: PacketId, now: float, view: NeighborView, tx_node: int | None = None
-    ) -> Decision:
-        """Relay decision for a copy of p.  Under M/U ``tx_node``, the
-        neighbour heard sending a native copy, evidently holds p and is marked
-        first; it is None for an own packet, a re-check or a gratis copy."""
+    def check(self, p: PacketId, now: float, view: NeighborView) -> Decision:
+        """Relay decision for a copy of p."""
         if self.marks is not None:
-            if tx_node is not None:
-                self.marks.mark(p, bit(tx_node), now)
             # relay while some current neighbour has no valid mark for p
             if view.one_hop & ~self.marks.holders(p, now):
                 return Decision.RELAY_ELIGIBLE
@@ -117,21 +110,10 @@ class TerminationState:
             return self.check(p, now, view) is Decision.DROP
         return self.sn_last.get(p.source, 0) > p.sn
 
-    def observe_transmitter(self, tx_node: int, p: PacketId, now: float) -> None:
-        """M/U bookkeeping for a copy that makes no relay decision (a decode
-        deferred): the transmitting neighbour evidently holds p."""
-        if self.marks is not None:
-            self.marks.mark(p, bit(tx_node), now)
-
     def note_forwarded(self, p: PacketId) -> None:
         """Report an actual transmission of p by this node (R/U semantics)."""
         if self.mode is Termination.RU and p.sn > self.sn_last.get(p.source, 0):
             self.sn_last[p.source] = p.sn
-
-    def prune(self, now: float) -> None:
-        """Expire soft state (M/U marks)."""
-        if self.marks is not None:
-            self.marks.prune(now)
 
     def digest(self) -> str:
         """Stable hash of the criterion state; used to verify read-only paths."""

@@ -89,7 +89,7 @@ def test_variants_fix_only_config_fields():
 
 POSITIVE = ["area_side", "sim_duration", "tx_range", "bandwidth_bps", "pkt_rate", "pkt_size",
             "hello_interval", "hello_expiry_factor", "pool_lifetime", "mcu_window",
-            "mark_expiry", "table_expiry"]
+            "table_expiry"]
 NON_NEGATIVE = ["rad_max", "mac_jitter", "speed_min", "pause_time", "mobility_warmup",
                 "traffic_delay", "traffic_cutoff"]
 

@@ -5,6 +5,9 @@ nothing but the protocol stands between a packet and the nodes its source
 can reach.  Every variant must then deliver every packet to every node that
 a breadth-first search from the source reaches in the static topology.
 """
+import re
+from collections import Counter
+
 import pytest
 
 from nobcr.config import ScenarioConfig
@@ -71,3 +74,18 @@ def _missed(variant):
 )
 def test_ideal_channel_reaches_every_reachable_node(variant):
     assert _missed(variant) == []
+
+
+@pytest.mark.parametrize("variant", ["pdp-mu", "codeb"])
+def test_mu_sends_no_packet_natively_twice(variant):
+    """Under M/U a node's own send marks every neighbour as a holder, so on an
+    ideal channel no node relays one packet natively a second time."""
+    log = SimLog()
+    Simulation(VARIANTS[variant].apply(IDEAL), log=log).run()
+    sends: Counter = Counter()
+    for _, node, _, detail in log.filter(kind="tx"):
+        # the detail lists the constituents, a gratis one starred
+        for pid in re.findall(r"(PacketId\([^)]*\))(?!\*)", detail):
+            sends[node, pid] += 1
+    assert sends
+    assert sum(n - 1 for n in sends.values()) == 0

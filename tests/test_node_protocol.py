@@ -261,16 +261,20 @@ def test_gratis_arrival_rule_off_consumes_relay_decision():
     assert not rads(actions) and not transmits(actions)  # window already spent
 
 
-def test_gratis_copy_rule_off_marks_no_mu_holder():
-    # with the rule off a gratis copy reaches the termination check, but its
-    # sender is no M/U evidence: only the native copy's sender is marked
-    node = make_node(0, neighbors={1: 0, 2: 0, 3: 0}, termination=Termination.MU,
-                     gratis_rule_off=True)
+def test_gratis_copy_rule_off_marks_the_mu_table():
+    # M/U reads the node's reception table, which every copy marks, gratis
+    # or not: the gratis sender counts as a holder, so the native copy that
+    # marks the last neighbour ends the relay
+    log = SimLog()
+    node = make_node(0, neighbors={1: 0, 2: 0}, termination=Termination.MU,
+                     gratis_rule_off=True, log=log)
     p = PacketId(3, 1)
     node.on_receive(gratis_pkt(p, tx_node=1), now=1.0)
-    assert node.term.marks.holders(p, 1.0) == 0
-    node.on_receive(native(p, forwarders=0, tx_node=2), now=1.5)
-    assert node.term.marks.holders(p, 1.5) == from_ids({2})
+    assert node.term.marks is node.table
+    assert node.table.holders(p, 1.0) == bit(1)
+    actions = node.on_receive(native(p, forwarders=bit(0), tx_node=2), now=1.5)
+    assert node.table.holders(p, 1.5) == from_ids({1, 2})
+    assert not rads(actions) and log.filter(kind="drop-term")
 
 
 def test_repeat_gratis_copies_are_ignored():
@@ -428,12 +432,6 @@ def test_immediate_decode_marks_the_encoder_under_mu():
     assert node.term.marks.holders(p1, 1.5) == from_ids({2, 3})
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="_resolve_bank credits the encoder as a previous hop of constituents "
-    "pooled after banking, but never marks it under M/U",
-)
 def test_late_decode_marks_the_encoder_under_mu():
     # the same two receptions as above, in the other order
     node = _codeb_node()

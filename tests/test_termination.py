@@ -1,4 +1,5 @@
-"""Termination criteria: window bitmap, classic per-source values, mark table."""
+"""Termination criteria: window bitmap, classic per-source values, M/U reading
+the node's reception table."""
 import random
 
 import pytest
@@ -7,11 +8,17 @@ from hypothesis import given, settings, strategies as st
 from nobcr.config import ScenarioConfig, Termination
 from nobcr.engine import Simulation
 from nobcr.metrics import SimLog
-from nobcr.model import NeighborView, PacketId, bit, members
+from nobcr.model import NeighborView, PacketId, ReceptionTable, bit, members
 from nobcr.presets import VARIANTS
 from nobcr.termination import Decision, TerminationState
 
-from oracles import FullHistoryDedup, PairMarks, rebuild_window_bitmap, reordered_sn_stream
+from oracles import (
+    FullHistoryDedup,
+    PairMarks,
+    from_ids,
+    rebuild_window_bitmap,
+    reordered_sn_stream,
+)
 
 RELAY = Decision.RELAY_ELIGIBLE
 DROP = Decision.DROP
@@ -212,43 +219,51 @@ def test_one_sn_store_for_mcu_cu_and_ru(steps, k):
 
 
 # --------------------------------------------------------------------------
-# M/U marks: a ReceptionTable of the transmitters heard sending each packet
+# M/U: the criterion reads the node's reception table, which the node marks
 # --------------------------------------------------------------------------
 
 
+def mu_state(ttl=5.0):
+    """An M/U state and the reception table it reads."""
+    table = ReceptionTable(ttl)
+    return TerminationState(Termination.MU, marks=table), table
+
+
 def test_marks_expire_and_reenable_relay():
-    mu = TerminationState(Termination.MU, mark_expiry=5.0)
+    mu, table = mu_state()
     v = _view(one_hop={1, 2})
     p = pid(1, source=9)
     assert mu.check(p, 0.0, v) is RELAY
-    mu.observe_transmitter(1, p, now=0.0)
+    table.mark(p, bit(1), now=0.0)
     assert mu.check(p, 1.0, v) is RELAY  # 2 still unmarked
-    mu.observe_transmitter(2, p, now=1.0)
+    table.mark(p, bit(2), now=1.0)
     assert mu.check(p, 2.0, v) is DROP
     assert mu.check(p, 5.0, v) is DROP  # node 1 mark lives to 5.0
     assert mu.check(p, 5.1, v) is RELAY  # ...then 1 counts as unmarked
 
 
 def test_mu_new_neighbour_reopens_relay():
-    mu = TerminationState(Termination.MU, mark_expiry=5.0)
+    mu, table = mu_state()
     p = pid(1)
-    mu.observe_transmitter(1, p, now=0.0)
+    table.mark(p, bit(1), now=0.0)
     assert mu.check(p, 1.0, _view(one_hop={1})) is DROP
     assert mu.check(p, 1.0, _view(one_hop={1, 3})) is RELAY
 
 
 def test_mu_with_no_neighbours_drops():
-    mu = TerminationState(Termination.MU, mark_expiry=5.0)
+    mu, _ = mu_state()
     assert mu.check(pid(1), 0.0, _view()) is DROP
 
 
 def test_mark_prune_removes_expired_only():
-    mu = TerminationState(Termination.MU, mark_expiry=2.0)
-    mu.observe_transmitter(1, pid(1), now=0.0)
-    mu.observe_transmitter(2, pid(1), now=3.0)
-    mu.prune(now=2.5)
+    # the node prunes its table; the criterion reads what is left
+    mu, table = mu_state(ttl=2.0)
+    table.mark(pid(1), from_ids({1, 3}), now=0.0)
+    table.mark(pid(1), bit(2), now=3.0)
+    table.prune(now=2.5)
     assert mu.marks._gens == {pid(1): [(5.0, bit(2))]}
-    assert mu.marks.holders(pid(1), now=4.0) == bit(2)
+    assert mu.check(pid(1), 4.0, _view(one_hop={2})) is DROP
+    assert mu.check(pid(1), 4.0, _view(one_hop={1, 2})) is RELAY
 
 
 # multiples of 1/8 sum exactly, so a step lands on a deadline, not an ulp off it
@@ -259,7 +274,9 @@ _TIME_STEPS = st.sampled_from([0.0, 0.125, 0.25, 0.375])
 @given(
     steps=st.lists(
         st.one_of(
-            st.tuples(st.just("mark"), _TIME_STEPS, st.integers(0, 4), st.integers(1, 3)),
+            st.tuples(
+                st.just("mark"), _TIME_STEPS, st.sets(st.integers(0, 4)), st.integers(1, 3)
+            ),
             st.tuples(
                 st.just("check"), _TIME_STEPS, st.sets(st.integers(0, 4)), st.integers(1, 3)
             ),
@@ -269,26 +286,27 @@ _TIME_STEPS = st.sampled_from([0.0, 0.125, 0.25, 0.375])
     )
 )
 def test_mu_decisions_match_pair_marks(steps):
-    """Marks, checks and prunes at non-decreasing times decide as the plain
-    (neighbour, packet) -> deadline dict does, and prune keeps exactly the
-    marks the dict keeps."""
+    """Node masks marked on the table, checks and prunes at non-decreasing
+    times decide as the plain (node, packet) -> deadline dict does, marked
+    one member at a time, and prune keeps exactly the marks the dict keeps."""
     ttl = 0.25  # the steps land on deadlines exactly as well as either side
-    mu = TerminationState(Termination.MU, mark_expiry=ttl)
+    mu, table = mu_state(ttl)
     oracle = PairMarks(ttl)
     now = 0.0
     for op, dt, arg, sn in steps:
         now += dt
         p = pid(sn, source=7)
         if op == "mark":
-            mu.observe_transmitter(arg, p, now)
-            oracle.mark(arg, p, now)
+            table.mark(p, from_ids(arg), now)
+            for u in arg:
+                oracle.mark(u, p, now)
         elif op == "check":
             v = _view(owner=9, one_hop=arg)
             want = RELAY if oracle.relay(arg, p, now) else DROP
             assert mu.check(p, now, v) is want
             assert mu.stale_at_expiry(p, now, v) is (want is DROP)
         else:
-            mu.prune(now)
+            table.prune(now)
             oracle.prune(now)
             # a node's deadline is that of the newest generation holding it
             kept = {
@@ -302,23 +320,26 @@ def test_mu_decisions_match_pair_marks(steps):
 
 def _ring_flood_under_mu(**kw):
     """Node 4's log kinds for one ``pdp-mu`` flood of (0, 1) on the ring
-    0-1-4-3-2-0, where nodes 2 and 4 hold each packet they relay for 0.5 s."""
+    0-1-4-3-2-0, where node 4 holds each packet it relays for 0.5 s and
+    node 2 for 0.5006 s.  A native send lasts 1.088 ms."""
     ring = [bit(1) | bit(2), bit(0) | bit(4), bit(0) | bit(3), bit(2) | bit(4), bit(1) | bit(3)]
     config = ScenarioConfig(n_nodes=5, area_side=500.0, sim_duration=10.0, n_sources=1,
                             collisions=False, mac_jitter=0.0, hello_enabled=False, **kw)
     log = SimLog()
+    hold = {2: 0.5006, 4: 0.5}
     sim = Simulation(VARIANTS["pdp-mu"].apply(config), adjacency=ring, injections=[(1.0, 0, 1)],
-                     rad_override=lambda node, _: 0.5 if node in (2, 4) else None, log=log)
+                     rad_override=lambda node, _: hold.get(node), log=log)
     sim.run()
     return [kind for _, node, kind, _ in log.entries if node == 4]
 
 
 def test_mu_relays_again_once_a_neighbour_mark_lapses():
-    # 0 elects 1 and 2.  1 relays at once and elects 4, which marks 1 at
-    # ~1.002 s and relays at ~1.502 s.  2 relays at ~1.501 s and elects 3,
-    # which relays at ~1.502 s, before it hears 4, so it elects 4 again.
-    # That copy marks 3 at 4, which relays again only if 1's mark has lapsed.
-    assert _ring_flood_under_mu(mark_expiry=0.2) == ["buffer", "tx", "buffer", "tx"]
+    # 0 elects 1 and 2.  1 relays at once and elects 4, which relays at
+    # ~1.5022 s and marks both its neighbours, 1 and 3.  2 relays 0.6 ms
+    # later and elects 3, which relays at once, before 4's copy reaches it,
+    # so it elects 4 again.  That copy reaches 4 1.7 ms after 4's own send,
+    # which relays again only if the marks of that send have lapsed.
+    assert _ring_flood_under_mu(table_expiry=0.001) == ["buffer", "tx", "buffer", "tx"]
     assert _ring_flood_under_mu() == ["buffer", "tx", "drop-term"]
 
 
@@ -348,18 +369,11 @@ def test_state_dispatch_classic_and_marks():
     v = _view(one_hop={1})
     assert cu.check(PacketId(0, 2), 0.0, v) is RELAY
     assert cu.check(PacketId(0, 1), 0.0, v) is DROP
-    mu = TerminationState(Termination.MU, mark_expiry=5.0)
+    mu, table = mu_state()
     p = PacketId(0, 1)
     assert mu.check(p, 0.0, v) is RELAY
-    mu.observe_transmitter(1, p, 0.0)
+    table.mark(p, bit(1), 0.0)
     assert mu.check(p, 1.0, v) is DROP
-
-
-def test_observe_transmitter_ignored_outside_mu():
-    st = TerminationState(Termination.CU)
-    st.observe_transmitter(1, PacketId(0, 1), 0.0)
-    st.check(PacketId(0, 2), 0.0, NeighborView(owner=0), tx_node=1)
-    assert st.marks is None
 
 
 def test_note_forwarded_feeds_ru_only():
@@ -404,11 +418,11 @@ def test_buffered_packet_staleness_per_mode():
     assert not mcu.stale_at_expiry(PacketId(0, 1), 0.2, v)
 
     # M/U: marks heard while the packet waits make it stale at expiry
-    mu = TerminationState(Termination.MU, mark_expiry=5.0)
+    mu, table = mu_state()
     v1 = _view(one_hop={1})
     assert mu.check(PacketId(0, 1), 0.0, v1) is RELAY
     assert not mu.stale_at_expiry(PacketId(0, 1), 0.1, v1)
-    mu.observe_transmitter(1, PacketId(0, 1), 0.1)
+    table.mark(PacketId(0, 1), bit(1), 0.1)
     assert mu.stale_at_expiry(PacketId(0, 1), 0.2, v1)
 
 
@@ -426,14 +440,15 @@ def test_digest_tracks_state_changes():
 
 @pytest.mark.parametrize("mode", [Termination.MU, Termination.RU])
 def test_check_only_reads_under_mu_and_ru(mode):
-    st = TerminationState(mode, mark_expiry=1.0)
+    table = ReceptionTable(1.0)
+    st = TerminationState(mode, marks=table if mode is Termination.MU else None)
     v = _view(one_hop={1, 2})
     rng = random.Random(3)
     now = 0.0
     for _ in range(200):
         now += rng.random()
         p = PacketId(rng.randrange(3), rng.randint(1, 20))
-        st.observe_transmitter(rng.choice([1, 2]), p, now)
+        table.mark(p, bit(rng.choice([1, 2])), now)
         st.note_forwarded(p)
         before = st.digest()
         for _ in range(5):
