@@ -15,8 +15,12 @@ from .scenario import ScriptError, load_script, run_scenario
 def parse_seeds(text: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in text.split(",") if part]
+        seeds = list(range(int(lo), int(hi) + 1))
+    else:
+        seeds = [int(part) for part in text.split(",") if part]
+    if not seeds:
+        raise ConfigError(f"--seeds {text!r} names no seed")
+    return seeds
 
 
 def parse_sets(pairs: list[str]) -> dict:
@@ -48,7 +52,7 @@ def file_spec(path: Path) -> ExperimentSpec:
 
 def cmd_run(args) -> int:
     overrides = parse_sets(args.set)
-    seeds = parse_seeds(args.seeds) if args.seeds else None
+    seeds = parse_seeds(args.seeds) if args.seeds is not None else None
     if args.target in PRESETS:
         spec = PRESETS[args.target]
         stem = f"{spec.name}_{'desk' if args.desk else 'full'}"

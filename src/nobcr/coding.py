@@ -104,44 +104,31 @@ def detect_coding(
 ) -> list[OutEntry]:
     """Greedy coding-plan growth seeded with one packet.
 
-    A queued packet q is admitted when every neighbour currently missing some
-    admitted constituent is estimated, by ``holders(pid, now)``, to hold q (so
-    everyone stays at most one constituent short).  Native candidates are scanned first in ascending
-    deadline order, ties in ``queue`` order (a node's queue is in buffering
-    order); gratis candidates join only afterwards and only once the
-    plan already has two members, unless ``allow_gratis_pair`` permits pairing
-    directly with an expiring native seed.
+    One rule admits every member: a queued packet joins when no neighbour
+    misses both it and an admitted one, by ``holders(pid, now)``, so every
+    neighbour stays at most one constituent short.  The queue is scanned by
+    ascending deadline, ties in ``queue`` (buffering) order, for natives and
+    then for gratis packets.  The gratis scan needs a plan of two, unless
+    ``allow_gratis_pair``, and skips a packet every neighbour holds.
     """
     one_hop = view.one_hop
     s = holders(seed.pid, now)  # neighbours holding everything admitted so far
-    c = one_hop & ~s  # neighbours missing exactly one admitted constituent
     plan = [seed]
     ordered = sorted(queue, key=_BY_DEADLINE)
-
-    for q in ordered:
-        if q.gratis or q.pid == seed.pid:
-            continue
-        z = holders(q.pid, now)
-        if c & ~z == 0:
-            new_s = s & z
-            assert new_s & ~s == 0 and c & ~(one_hop & ~new_s) == 0
-            s = new_s
-            c = one_hop & ~s
-            plan.append(q)
-
-    if len(plan) >= 2 or allow_gratis_pair:
+    for gratis in (False, True):
+        if gratis and len(plan) < 2 and not allow_gratis_pair:
+            break
         for q in ordered:
-            if not q.gratis or q.pid == seed.pid:
+            if q.gratis != gratis or q.pid == seed.pid:
                 continue
             z = holders(q.pid, now)
             # A gratis constituent must still be useful: skip it once every
             # neighbour is estimated to hold it, as no delay gain is possible
             # and it would only put the encoding's decodability at risk.
-            if one_hop & ~z == 0:
+            if gratis and not one_hop & ~z:
                 continue
-            if c & ~z == 0:
+            if not one_hop & ~s & ~z:
                 s &= z
-                c = one_hop & ~s
                 plan.append(q)
     return plan
 

@@ -43,7 +43,7 @@ def build_tasks(
     overrides: dict | None = None,
 ) -> list[dict]:
     base, sweep, default_seeds = spec.profile(desk)
-    seeds = list(seeds) if seeds else list(default_seeds)
+    seeds = list(default_seeds if seeds is None else seeds)
     names = list(variants) if variants else list(spec.variants)
     unknown = [v for v in names if v not in VARIANTS]
     if unknown:

@@ -177,18 +177,10 @@ class NeighborView:
                     nxt = exp
         self._next_expiry = nxt
 
-    def neighbors_of(self, u: int) -> NodeSet:
-        """Advertised 1-hop set of u; unknown nodes contribute just themselves.
-
-        The owner's own set is served from its live neighbour table, since a
-        node never receives its own hello.
-        """
-        if u == self.owner:
-            return self.one_hop | (1 << u)
-        return self.neigh_of.get(u, 1 << u)
-
     def union_of(self, mask: NodeSet) -> NodeSet:
-        """Union of :meth:`neighbors_of` over the members of ``mask``."""
+        """Union of the advertised 1-hop sets of the members of ``mask``: an
+        unknown node counts as itself, and the owner, which never hears its
+        own hello, as its live 1-hop set and itself."""
         z = 0
         own = 1 << self.owner
         if mask & own:

@@ -79,14 +79,20 @@ class Node:
             detail = " ".join(f"{p:.3f}" if isinstance(p, float) else str(p) for p in parts)
             self.log.add(now, self.id, kind, detail)
 
-    def _detect(self, seed: OutEntry, now: float, allow_gratis_pair: bool) -> list[OutEntry]:
+    def _plan(self, seed: OutEntry, now: float, allow_gratis_pair: bool) -> list[OutEntry]:
+        """What to send for ``seed``: the seed alone when coding is off or
+        when it is gratis and no native is queued to carry it, else the plan
+        coding detection grows from it."""
+        if self.config.coding is Coding.NONE:
+            return [seed]
+        if seed.gratis:
+            for q in self.queue.values():
+                if not q.gratis:
+                    break
+            else:
+                return [seed]
         return coding.detect_coding(
-            seed,
-            self.queue.values(),
-            self.view,
-            self.holders,
-            now,
-            allow_gratis_pair=allow_gratis_pair,
+            seed, self.queue.values(), self.view, self.holders, now, allow_gratis_pair
         )
 
     def _buffer(self, pid: PacketId, now: float, gratis: bool, actions: list[Action]) -> None:
@@ -108,6 +114,9 @@ class Node:
             # this node is now itself a previous hop of the packet, so its
             # own neighbourhood joins the holder estimate
             self.pool.record_copy(item.pid, self.id)
+            if self.table is not None:
+                # own transmission: every current neighbour is about to hold it
+                self.table.mark(item.pid, self.view.one_hop, now)
             self.queue.pop(item.pid, None)
             if item.gratis:
                 fwd = 0
@@ -123,10 +132,6 @@ class Node:
             headers.append(ConstituentHeader(item.pid, fwd, item.gratis, entry.origin_time))
             payloads.append(entry.payload)
         pkt = coding.encode(headers, payloads, self.config.pkt_size, self.id)
-        if self.table is not None:
-            # own transmission: every current neighbour is about to hold these
-            for item in plan:
-                self.table.mark(item.pid, self.view.one_hop, now)
         self.metrics.on_data_tx(n_constituents=len(plan), with_gratis=any_gratis)
         self._logev(now, "tx", *headers)
         actions.append(pkt)
@@ -138,7 +143,7 @@ class Node:
         self.view.prune(now, self._hello_horizon)
         tx = pkt.tx_node
         if self.table is not None:
-            holders = (self.view.neighbors_of(tx) & self.view.one_hop) | (1 << tx)
+            holders = (self.view.neigh_of.get(tx, 0) & self.view.one_hop) | 1 << tx
             for c in pkt.constituents:
                 self.table.mark(c.pid, holders, now)
         # banked packets can become decodable only when the pool gains an
@@ -198,11 +203,10 @@ class Node:
                 if queued is not None and not queued.gratis:
                     self._logev(now, "dup-queued", c.pid)
                     return
-                if self.config.coding is not Coding.NONE:
-                    plan = self._detect(OutEntry(c.pid, now, False), now, allow_gratis_pair=False)
-                    if len(plan) >= 2:
-                        self._transmit_plan(plan, now, actions)
-                        return
+                plan = self._plan(OutEntry(c.pid, now, False), now, allow_gratis_pair=False)
+                if len(plan) >= 2:
+                    self._transmit_plan(plan, now, actions)
+                    return
                 # buffer natively; an existing gratis entry is promoted
                 self._buffer(c.pid, now, gratis=False, actions=actions)
                 if queued is not None:
@@ -230,32 +234,27 @@ class Node:
 
         A successful retry feeds the recovered constituent through the normal
         reception pipeline, which can unlock further banked packets, so the
-        scan restarts until no entry makes progress.
+        scan restarts after each success until no live entry decodes.
         """
-        progress = True
-        while progress:
-            progress = False
+        while True:
             for i, (expiry, pkt) in enumerate(self.bank):
-                if expiry <= now:
-                    continue
-                result = coding.decode(pkt, self.pool)
-                if not result.ok:
-                    continue
-                self.bank.pop(i)
-                progress = True
-                # constituents that arrived after the packet was banked still
-                # owe its transmitter a previous-hop credit
-                for c in pkt.constituents:
-                    if c.pid in self.pool:
-                        self.pool.record_copy(c.pid, pkt.tx_node)
-                for c in pkt.constituents:
-                    if c.pid == result.recovered_pid:
-                        self._logev(now, "decode-late", c.pid)
-                        self.metrics.decode_late += 1
-                        self._process_constituent(
-                            c, result.recovered_payload, pkt.tx_node, now, actions
-                        )
-                break
+                if expiry > now:
+                    result = coding.decode(pkt, self.pool)
+                    if result.ok:
+                        break
+            else:
+                return
+            del self.bank[i]
+            # constituents that arrived after the packet was banked still owe
+            # its transmitter a previous-hop credit
+            for c in pkt.constituents:
+                if c.pid in self.pool:
+                    self.pool.record_copy(c.pid, pkt.tx_node)
+            for c in pkt.constituents:
+                if c.pid == result.recovered_pid:
+                    self._logev(now, "decode-late", c.pid)
+                    self.metrics.decode_late += 1
+                    self._process_constituent(c, result.recovered_payload, pkt.tx_node, now, actions)
 
     def flush_bank(self, now: float) -> None:
         """Write off banked packets whose decode window has closed."""
@@ -274,30 +273,18 @@ class Node:
             return []
         del self.queue[pid]
         actions: list[Action] = []
-        if entry.gratis:
-            # A gratis packet goes out only coded with a native one: with no
-            # native queued, detection could return nothing but the seed.
-            # Without allow_gratis_pair, detection admits a gratis member only
-            # once a native one has joined, so two members imply a native.
-            plan = []
-            for q in self.queue.values():
-                if not q.gratis:
-                    plan = self._detect(entry, now, allow_gratis_pair=False)
-                    break
-            if len(plan) >= 2:
-                self._transmit_plan(plan, now, actions)
-            else:
-                self.metrics.gratis_dropped += 1
-                self._logev(now, "gratis-expire-drop", pid)
-            return actions
-        if self.term.stale_at_expiry(pid, now, self.view):
+        if not entry.gratis and self.term.stale_at_expiry(pid, now, self.view):
             self._logev(now, "drop-term-late", pid)
             return actions
-        if self.config.coding is Coding.NONE:
-            plan = [entry]
+        # A gratis packet goes out only coded with a native one.  Without
+        # allow_gratis_pair, detection admits a gratis member only once a
+        # native one has joined, so two members imply a native.
+        plan = self._plan(entry, now, allow_gratis_pair=not entry.gratis)
+        if entry.gratis and len(plan) < 2:
+            self.metrics.gratis_dropped += 1
+            self._logev(now, "gratis-expire-drop", pid)
         else:
-            plan = self._detect(entry, now, allow_gratis_pair=True)
-        self._transmit_plan(plan, now, actions)
+            self._transmit_plan(plan, now, actions)
         return actions
 
     def on_generate(self, sn: int, now: float) -> list[Action]:

@@ -39,6 +39,12 @@ def _check_node(value, n: int, what: str) -> int:
     return value
 
 
+def _field(item, key: str, what: str):
+    if not isinstance(item, dict) or key not in item:
+        raise ScriptError(f"each {what} needs a {key!r} field, got {item!r}")
+    return item[key]
+
+
 def load_script(path: str | Path) -> Scenario:
     raw = json.loads(Path(path).read_text())
     if not isinstance(raw, dict):
@@ -65,7 +71,7 @@ def load_script(path: str | Path) -> Scenario:
             raise ScriptError("explicit adjacency requires a static scenario")
         adjacency = [0] * n
         for edge in raw["adjacency"]:
-            if len(edge) != 2:
+            if not isinstance(edge, list) or len(edge) != 2:
                 raise ScriptError(f"edges are [a, b] pairs, got {edge!r}")
             a = _check_node(edge[0], n, "edge endpoint")
             b = _check_node(edge[1], n, "edge endpoint")
@@ -78,11 +84,11 @@ def load_script(path: str | Path) -> Scenario:
 
     injections = []
     for item in raw.get("injections", []):
-        source = _check_node(item["source"], n, "injection source")
-        sn = item["sn"]
+        source = _check_node(_field(item, "source", "injection"), n, "injection source")
+        sn = _field(item, "sn", "injection")
         if not isinstance(sn, int) or sn < 1:
             raise ScriptError(f"sequence numbers start at 1, got {sn!r}")
-        t = float(item["time"])
+        t = float(_field(item, "time", "injection"))
         if t < 0:
             raise ScriptError("injection time must be >= 0")
         injections.append((t, source, sn))
@@ -92,10 +98,10 @@ def load_script(path: str | Path) -> Scenario:
 
     rad_values: dict[tuple[int, int, int], list[float]] = {}
     for item in raw.get("rad_overrides", []):
-        node = _check_node(item["node"], n, "override node")
-        source = _check_node(item["source"], n, "override source")
-        sn = item["sn"]
-        values = [float(v) for v in item["values"]]
+        node = _check_node(_field(item, "node", "override"), n, "override node")
+        source = _check_node(_field(item, "source", "override"), n, "override source")
+        sn = _field(item, "sn", "override")
+        values = [float(v) for v in _field(item, "values", "override")]
         if any(v < 0 for v in values):
             raise ScriptError("RAD values must be >= 0")
         key = (node, source, sn)

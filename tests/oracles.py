@@ -100,6 +100,35 @@ class PairMarks:
             del self.deadlines[key]
 
 
+def coding_plan_sets(seed, queue, one_hop: set[int], holders: dict, allow_gratis_pair: bool):
+    """The coding plan grown from packet ``seed``, as a list of packet ids.
+
+    ``queue`` lists ``(pid, deadline, gratis)`` in queue order and
+    ``holders`` maps each pid to the set of nodes estimated to hold it.  A
+    plan is decodable when every neighbour in ``one_hop`` misses at most one
+    of its packets.  Natives are tried in (deadline, queue position) order,
+    each admitted if the plan stays decodable.  Gratis packets are tried
+    next in the same order, only once the plan has two packets or
+    ``allow_gratis_pair`` holds; a gratis packet every neighbour holds is
+    skipped.  Queue entries for the seed itself are ignored.
+    """
+
+    def decodable(plan):
+        return all(sum(n not in holders[p] for p in plan) <= 1 for n in one_hop)
+
+    ordered = [q for _, q in sorted(enumerate(queue), key=lambda iq: (iq[1][1], iq[0]))]
+    plan = [seed]
+    for pid, _, gratis in ordered:
+        if not gratis and pid != seed and decodable(plan + [pid]):
+            plan.append(pid)
+    if len(plan) < 2 and not allow_gratis_pair:
+        return plan
+    for pid, _, gratis in ordered:
+        if gratis and pid != seed and not one_hop <= holders[pid] and decodable(plan + [pid]):
+            plan.append(pid)
+    return plan
+
+
 # --------------------------------------------------------------------------
 # Cover targets and set cover, on plain sets
 # --------------------------------------------------------------------------

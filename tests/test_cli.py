@@ -3,7 +3,8 @@ import pytest
 
 from nobcr.cli import main, parse_seeds, parse_sets
 from nobcr.config import ConfigError
-from nobcr.harness import read_rows
+from nobcr.harness import build_tasks, read_rows
+from nobcr.presets import PRESETS
 from nobcr.scenario import script_dir
 
 # shrink any preset to something that finishes in well under a second
@@ -96,6 +97,15 @@ class TestRunCommand:
         )
         assert rc == 2
         assert "unknown config keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seeds", ["5..1", ",", ""])
+    def test_seeds_naming_no_seed_exit_2(self, tmp_path, capsys, seeds):
+        # an empty seed list must not fall back to the preset's default seeds
+        rc = main(["run", "storage", "--desk", "--seeds", seeds, "--out", str(tmp_path)])
+        assert rc == 2
+        assert "names no seed" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+        assert build_tasks(PRESETS["storage"], desk=True, seeds=[]) == []
 
     def test_malformed_set_exits_2(self, tmp_path, capsys):
         rc = main(["run", "storage", "--desk", "--set", "oops", "--out", str(tmp_path)])

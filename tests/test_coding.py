@@ -24,7 +24,7 @@ from nobcr.model import (
     members,
 )
 
-from oracles import PairMarks, from_ids, union_sets
+from oracles import PairMarks, coding_plan_sets, from_ids, union_sets
 
 
 def pid(sn, source=0):
@@ -150,7 +150,7 @@ def test_receivers_of_is_the_union_over_prev_hops(owner, advertised, hops):
         pool.record_copy(pid(1), hop)
     union = 0
     for i in members(entry.prev_hops):
-        union |= v.neighbors_of(i)
+        union |= v.union_of(bit(i))
     assert receivers_of(entry, v) == union
     assert set(members(union)) == union_sets(owner, set(neigh_of), neigh_of, set(hops))
 
@@ -446,3 +446,44 @@ def test_detected_plans_always_decodable_everywhere():
         for nbr in one_hop:
             short = sum(1 for i in plan if not known[i.pid] & bit(nbr))
             assert short <= 1
+
+
+node_sets = st.frozensets(st.integers(min_value=1, max_value=8), max_size=8)
+
+
+@given(
+    one_hop=st.frozensets(st.integers(min_value=1, max_value=6), max_size=6),
+    seed_holders=node_sets,
+    seed_gratis=st.booleans(),
+    # (deadline, gratis, holders) per queued packet; few deadlines, many ties
+    entries=st.lists(st.tuples(st.integers(0, 3), st.booleans(), node_sets), max_size=8),
+    seed_queued_at=st.none() | st.integers(min_value=0, max_value=8),
+    allow_pair=st.booleans(),
+)
+@example(
+    one_hop=frozenset({1, 2}), seed_holders=frozenset({1}), seed_gratis=False,
+    entries=[(1, False, frozenset({2})), (1, False, frozenset({2}))],
+    seed_queued_at=None, allow_pair=False,
+)
+def test_detect_coding_matches_the_set_oracle(
+    one_hop, seed_holders, seed_gratis, entries, seed_queued_at, allow_pair
+):
+    seed = pid(1)
+    known = {seed: seed_holders}
+    queue = []
+    for i, (deadline, gratis, held) in enumerate(entries):
+        known[pid(i + 2)] = held
+        queue.append(queued(pid(i + 2), float(deadline), gratis))
+    if seed_queued_at is not None:  # a queue entry for the seed itself
+        queue.insert(min(seed_queued_at, len(queue)), queued(seed, 1.0, seed_gratis))
+    v = NeighborView(owner=0)
+    for u in one_hop:
+        v.note_hello(u, 0, now=0.0, horizon=10.0)
+    plan = detect_coding(
+        OutEntry(seed, 0.0, seed_gratis), queue, v, lambda p, now: from_ids(known[p]), 0.0,
+        allow_pair,
+    )
+    expected = coding_plan_sets(
+        seed, [(q.pid, q.deadline, q.gratis) for q in queue], set(one_hop), known, allow_pair
+    )
+    assert [q.pid for q in plan] == expected

@@ -89,3 +89,22 @@ def test_mu_sends_no_packet_natively_twice(variant):
             sends[node, pid] += 1
     assert sends
     assert sum(n - 1 for n in sends.values()) == 0
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+@pytest.mark.parametrize("variant", ["nobcr", "nobcr-nocr", "nobcr-table", "codeb"])
+def test_every_coded_send_decodes_on_arrival(variant, seed):
+    """On an ideal channel every encoded reception decodes when it arrives.
+    A deferred one ends as a late decode, a decode failure or a packet still
+    banked when the run ends, so those three must sum to zero."""
+    config = VARIANTS[variant].apply(IDEAL.replace(seed=seed))
+    sim = Simulation(config)
+    metrics = sim.run()
+    deferred = metrics.decode_late + metrics.decode_failures + sum(len(n.bank) for n in sim.nodes)
+    if deferred:
+        log = SimLog()
+        Simulation(config, log=log).run()
+        records = "\n".join(
+            line for line, e in zip(log.lines(), log.entries) if e[2] == "decode-defer"
+        )
+        pytest.fail(f"{variant} seed {seed}: {deferred} deferred decodes\n{records}")

@@ -269,6 +269,6 @@ def test_elected_forwarders_cover_what_they_claim():
             target = cover_target(v, bit(u))
             covered = 0
             for f in members(fwd):
-                covered |= v.neighbors_of(f)
+                covered |= v.union_of(bit(f))
             assert target & ~(covered | uncovered) == 0
             assert fwd & from_ids({u, owner}) == 0

@@ -47,12 +47,12 @@ def test_note_hello_records_advertised_set():
     v = NeighborView(owner=0)
     v.note_hello(1, from_ids({0, 2, 5}), now=1.0, horizon=2.0)
     assert v.one_hop == bit(1)
-    assert v.neighbors_of(1) == from_ids({0, 2, 5})
+    assert v.union_of(bit(1)) == from_ids({0, 2, 5})
 
 
 def test_unknown_node_contributes_only_itself():
     v = NeighborView(owner=0)
-    assert v.neighbors_of(9) == bit(9)
+    assert v.union_of(bit(9)) == bit(9)
 
 
 def test_owner_set_served_from_live_table():
@@ -61,7 +61,7 @@ def test_owner_set_served_from_live_table():
     v = NeighborView(owner=4)
     v.note_hello(1, bit(4), now=0.0, horizon=2.0)
     v.note_hello(2, bit(4), now=0.0, horizon=2.0)
-    assert v.neighbors_of(4) == from_ids({1, 2, 4})
+    assert v.union_of(bit(4)) == from_ids({1, 2, 4})
 
 
 def test_prune_drops_stale_neighbours_only():

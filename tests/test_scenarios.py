@@ -145,6 +145,18 @@ class TestLoadScript:
                 lambda b: b.update(injections=[{"time": -1, "source": 0, "sn": 1}]),
                 ">= 0",
             ),
+            (
+                lambda b: b.update(injections=[{"time": 0.1, "sn": 1}]),
+                "injection needs a 'source' field",
+            ),
+            (
+                lambda b: b.update(rad_overrides=[{"node": 1, "source": 0, "sn": 1}]),
+                "override needs a 'values' field",
+            ),
+            (
+                lambda b: b.update(adjacency=[5]) or b.pop("positions"),
+                "[a, b] pairs, got 5",
+            ),
         ],
     )
     def test_rejects_malformed_scripts(self, tmp_path, mutate, fragment):
