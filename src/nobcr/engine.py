@@ -1,10 +1,17 @@
 """Deterministic discrete-event simulation driving Node instances.
 
-Determinism: one event heap ordered by (time, insertion seq); every random
-draw comes from a purpose-and-node keyed substream derived from the run seed,
-so outcomes are reproducible bit for bit regardless of host or process count.
-The channel is :class:`Radio`; :class:`Simulation` holds the heap, the nodes
-and the event loop.
+Determinism: events run in (time, insertion seq) order, with one seq counter
+for all of them; every random draw comes from a purpose-and-node keyed
+substream derived from the run seed, so outcomes are reproducible bit for bit
+regardless of host or process count.
+
+Events live in two queues merged by (time, seq): a heap, and a FIFO of pool
+evictions.  An eviction falls due the fixed pool lifetime after the event
+that pooled the entry, and event times never decrease, so evictions fall due
+in the order they are queued and need no heap.
+
+The channel is :class:`Radio`; :class:`Simulation` holds the two queues, the
+nodes and the event loop.
 """
 from __future__ import annotations
 
@@ -12,6 +19,7 @@ import hashlib
 import heapq
 import math
 import random
+from collections import deque
 from typing import Callable, Iterable, Sequence
 
 from .coding import OutEntry, PoolEntry
@@ -20,7 +28,7 @@ from .metrics import Metrics, SimLog
 from .model import Packet, PacketId, members
 from .node import Node
 
-RX, RAD, HELLO, GEN, EVICT, SAMPLE = range(6)
+RX, RAD, HELLO, GEN, SAMPLE = range(5)
 SAMPLE_INTERVAL = 1.0  # seconds between detector-storage samples
 
 
@@ -70,11 +78,19 @@ class Waypoint:
             self._legs.append((t_arrive, t_arrive + self.pause, dest_x, dest_y, 0.0, 0.0))
 
     def position(self, t: float) -> tuple[float, float]:
+        """Where the walker is at ``t``: a pure function of ``t``.
+
+        The answer is evaluated on the first leg that ends at or after ``t``,
+        so a time exactly on a leg boundary reads the earlier leg.  The leg
+        cursor only saves the search: a query at or before the start of the
+        cursor's leg rewinds it to the first leg, so which earlier queries
+        moved it never changes an answer.
+        """
         while t > self._legs[-1][1]:
             self._extend()
         idx = self._idx
         legs = self._legs
-        if t < legs[idx][0]:
+        if t <= legs[idx][0]:
             idx = 0
         while idx + 1 < len(legs) and legs[idx][1] < t:
             idx += 1
@@ -94,6 +110,26 @@ class Radio:
     sender at the start instant under mobility.  With ``collisions`` on, a
     reception is lost when another broadcast heard by the same receiver
     strictly overlaps it in time.
+
+    Under mobility a broadcast pays for the nodes near its sender, not for
+    every node.  The radio keeps an anchor: a time ``T_a`` and every
+    walker's position then, taken afresh by any query more than ``S =
+    tx_range / (20 speed_max)`` seconds away from ``T_a``, before or after.
+    A walker moves at most ``speed_max S`` from its anchor position while
+    the anchor holds, so the distance between two nodes changes by at most
+    ``d = 2 speed_max S`` (a tenth of ``tx_range``).  Hence, by their
+    distance from the sender at the anchor, once per sender and anchor:
+
+    - nodes within ``tx_range - d`` are *sure* receivers, in range at any
+      ``t`` the anchor serves;
+    - nodes beyond ``tx_range + d`` are out of range then;
+    - the rest are *candidates*: each gets the exact test, its position at
+      ``t`` against ``tx_range``.
+
+    Both bounds carry a margin far above the rounding of a position, so the
+    receivers equal those of an exact test of every node.  Since
+    ``Waypoint.position`` is a pure function of ``t``, skipping walkers
+    changes no later answer either.
 
     Collisions are tracked per broadcast in ``on_air`` entries
     ``[t0, t1, tracking, collided]``: the broadcast's air time, the
@@ -134,6 +170,16 @@ class Radio:
                 )
                 for i in range(n)
             ]
+            # anchor: every walker's position at _anchor_t, and per sender
+            # the receivers and candidates built from it, lazily
+            self._span = config.tx_range / (20 * config.speed_max)
+            drift = 2 * config.speed_max * self._span  # most two walkers close or part
+            margin = 1e-6 * config.area_side  # far above any rounding of a position
+            self._sure2 = (config.tx_range - drift - margin) ** 2
+            self._reach2 = (config.tx_range + drift + margin) ** 2
+            self._anchor_t = -math.inf
+            self._anchor: list[tuple[float, float]] = []
+            self._near: list[tuple[int, list[int], list[int]] | None] = []
         else:
             if positions is None:
                 positions = []
@@ -154,41 +200,64 @@ class Radio:
         if self.adjacency is not None:
             self._receiver_ids = [tuple(members(mask)) for mask in self.adjacency]
 
-    def positions(self, t: float) -> list[tuple[float, float]]:
-        """Every node's position at ``t``, equal to ``Waypoint.position(t)``.
-
-        Inside a walker's current ``leg`` (``t_start < t <= t_end``) this is
-        the same float expression ``position`` evaluates there, and
-        ``position`` would stay on that leg.  Any other ``t`` goes through
-        ``position``, which extends, rewinds or advances the leg exactly as it
-        always has.
-        """
-        out = []
-        for traj in self.trajectories:
-            t0, t1, x0, y0, vx, vy = traj.leg
-            if t0 < t <= t1:
-                dt = t - t0
-                out.append((x0 + vx * dt, y0 + vy * dt))
-            else:
-                out.append(traj.position(t))
-        return out
-
     def receivers(self, sender: int, t: float) -> tuple[int, Sequence[int]]:
         """Who hears a broadcast ``sender`` starts at ``t``: a mask, and the
-        same nodes as ids in ascending order."""
+        same nodes as ids in ascending order.
+
+        Under mobility the sender's sure receivers need no test, and its
+        candidates get the exact one, each at its position at ``t``.
+        """
         if self.adjacency is not None:
             return self.adjacency[sender], self._receiver_ids[sender]
-        positions = self.positions(t)
-        xs, ys = positions[sender]
+        if abs(t - self._anchor_t) > self._span:
+            self._anchor_t = t
+            self._anchor = [w.position(t) for w in self.trajectories]
+            self._near = [None] * len(self._anchor)
+        near = self._near[sender]
+        if near is None:
+            near = self._near[sender] = self._classify(sender)
+        sure_mask, sure_ids, candidates = near
+        if not candidates:
+            return sure_mask, sure_ids
+        trajectories = self.trajectories
+        xs, ys = trajectories[sender].position(t)
         r2 = self.config.tx_range ** 2
         mask = 0
         ids = []
-        for j, (xj, yj) in enumerate(positions):
+        for j in candidates:
+            traj = trajectories[j]
+            # inside the walker's current leg this is position(t)'s expression
+            t0, t1, x0, y0, vx, vy = traj.leg
+            if t0 < t <= t1:
+                dt = t - t0
+                xj, yj = x0 + vx * dt, y0 + vy * dt
+            else:
+                xj, yj = traj.position(t)
             dx, dy = xs - xj, ys - yj
-            if dx * dx + dy * dy <= r2 and j != sender:
+            if dx * dx + dy * dy <= r2:
                 mask |= 1 << j
                 ids.append(j)
-        return mask, ids
+        if not mask:
+            return sure_mask, sure_ids
+        return sure_mask | mask, sorted(sure_ids + ids)
+
+    def _classify(self, sender: int) -> tuple[int, list[int], list[int]]:
+        """The sender's sure receivers, as a mask and as ids, and its
+        candidates, by their distance at the anchor; ids ascending."""
+        ax, ay = self._anchor[sender]
+        sure_mask = 0
+        sure_ids = []
+        candidates = []
+        for j, (x, y) in enumerate(self._anchor):
+            d2 = (ax - x) ** 2 + (ay - y) ** 2
+            if d2 > self._reach2 or j == sender:
+                continue
+            if d2 <= self._sure2:
+                sure_mask |= 1 << j
+                sure_ids.append(j)
+            else:
+                candidates.append(j)
+        return sure_mask, sure_ids, candidates
 
     def send(self, sender: int, now: float, nbytes: int) -> tuple[float, Sequence[int], list] | None:
         """Put ``nbytes`` from ``sender`` on the air; return its end time
@@ -242,6 +311,8 @@ class Simulation:
         self.log = log
         self.metrics = Metrics(config.n_nodes)
         self._heap: list = []
+        # (t, seq, node, pool entry), due in queue order
+        self._evictions: deque[tuple[float, int, int, PoolEntry]] = deque()
         self._seq = 0
         self.radio = Radio(config, adjacency, positions)
 
@@ -316,7 +387,8 @@ class Simulation:
             elif type(a) is OutEntry:
                 self._push(a.deadline, RAD, (node_id, a))
             elif type(a) is PoolEntry:
-                self._push(now + self.config.pool_lifetime, EVICT, (node_id, a))
+                self._seq += 1
+                self._evictions.append((now + self.config.pool_lifetime, self._seq, node_id, a))
             else:
                 raise TypeError(f"unknown action {a!r}")
 
@@ -338,8 +410,16 @@ class Simulation:
         cfg = self.config
         duration = cfg.sim_duration
         heap = self._heap
+        evictions = self._evictions
         nodes = self.nodes
-        while heap:
+        while heap or evictions:
+            # seqs are unique, so the tuples compare by (time, seq) alone
+            if evictions and (not heap or evictions[0] < heap[0]):
+                t, _, node_id, entry = evictions.popleft()
+                if t > duration:
+                    break
+                nodes[node_id].on_pool_evict(entry, t)
+                continue
             t, _, kind, data = heapq.heappop(heap)
             if t > duration:
                 break
@@ -370,9 +450,6 @@ class Simulation:
                     t_next = t + 1.0 / cfg.pkt_rate
                     if t_next <= duration - cfg.traffic_cutoff:
                         self._push(t_next, GEN, (source, sn + 1, True))
-            elif kind == EVICT:
-                node_id, entry = data
-                nodes[node_id].on_pool_evict(entry, t)
             elif kind == HELLO:
                 node_id = data
                 nodes[node_id].periodic(t)

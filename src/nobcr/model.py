@@ -149,19 +149,19 @@ class NeighborView:
     one_hop: NodeSet = 0
     neigh_of: dict[int, NodeSet] = field(default_factory=dict)
     last_heard: dict[int, float] = field(default_factory=dict)
-    _next_expiry: float = float("inf")
+    next_expiry: float = float("inf")  # no entry expires before this time
 
     def note_hello(self, sender: int, advertised: NodeSet, now: float, horizon: float) -> None:
         self.one_hop |= 1 << sender
         self.neigh_of[sender] = advertised
         self.last_heard[sender] = now
         expiry = now + horizon
-        if expiry < self._next_expiry:
-            self._next_expiry = expiry
+        if expiry < self.next_expiry:
+            self.next_expiry = expiry
 
     def prune(self, now: float, horizon: float) -> None:
         """Drop neighbours not heard from within ``horizon`` seconds."""
-        if now < self._next_expiry:
+        if now < self.next_expiry:
             return
         cutoff = now - horizon
         nxt = float("inf")
@@ -175,7 +175,7 @@ class NeighborView:
                 exp = heard + horizon
                 if exp < nxt:
                     nxt = exp
-        self._next_expiry = nxt
+        self.next_expiry = nxt
 
     def union_of(self, mask: NodeSet) -> NodeSet:
         """Union of the advertised 1-hop sets of the members of ``mask``: an

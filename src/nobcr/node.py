@@ -68,6 +68,7 @@ class Node:
         # its expiry passes
         self.bank: list[tuple[float, Packet]] = []
         self._cr = config.coded_redundancy and config.coding is not Coding.NONE
+        self._gratis_rule = not config.gratis_rule_off
         self._hello_horizon = config.hello_interval * config.hello_expiry_factor
 
     # -- helpers -----------------------------------------------------------
@@ -113,7 +114,7 @@ class Node:
             assert entry is not None, "plan member must be pooled"
             # this node is now itself a previous hop of the packet, so its
             # own neighbourhood joins the holder estimate
-            self.pool.record_copy(item.pid, self.id)
+            entry.prev_hops |= 1 << self.id
             if self.table is not None:
                 # own transmission: every current neighbour is about to hold it
                 self.table.mark(item.pid, self.view.one_hop, now)
@@ -140,81 +141,99 @@ class Node:
 
     def on_receive(self, pkt: Packet, now: float) -> list[Action]:
         actions: list[Action] = []
-        self.view.prune(now, self._hello_horizon)
+        view = self.view
+        if now >= view.next_expiry:
+            view.prune(now, self._hello_horizon)
         tx = pkt.tx_node
+        cs = pkt.constituents
         if self.table is not None:
-            holders = (self.view.neigh_of.get(tx, 0) & self.view.one_hop) | 1 << tx
-            for c in pkt.constituents:
+            holders = (view.neigh_of.get(tx, 0) & view.one_hop) | 1 << tx
+            for c in cs:
                 self.table.mark(c.pid, holders, now)
+        pool = self.pool
         # banked packets can become decodable only when the pool gains an
         # entry; no eviction runs inside a reception, so the size tells
-        pooled = len(self.pool)
-        if pkt.encoded:
-            result = coding.decode(pkt, self.pool)
+        pooled = len(pool)
+        if len(cs) > 1:
+            result = coding.decode(pkt, pool)
             if not result.ok:
                 self._logev(now, "decode-defer", *result.missing)
-                for c in pkt.constituents:
-                    if c.pid in self.pool:
-                        self.pool.record_copy(c.pid, tx)
-                self.bank.append((now + self.pool.lifetime, pkt))
+                for c in cs:
+                    entry = pool.get(c.pid)
+                    if entry is not None:
+                        entry.prev_hops |= 1 << tx
+                self.bank.append((now + pool.lifetime, pkt))
                 return actions
-            recovered, payload = result.recovered_pid, result.recovered_payload
+            payload = result.recovered_payload
         else:
-            recovered, payload = pkt.constituents[0].pid, pkt.payload
-        # every constituent but the recovered one is already pooled
-        for c in pkt.constituents:
-            self._process_constituent(c, payload if c.pid == recovered else None, tx, now, actions)
-        if self.bank and len(self.pool) > pooled:
+            payload = pkt.payload
+        # every constituent but the recovered one, if any, is already pooled
+        for c in cs:
+            entry = pool.get(c.pid)
+            if entry is None:
+                self._take_new(c, payload, tx, now, actions)
+                continue
+            # A copy that brings nothing new: credit its hop, then decide.
+            # Gratis receiving rule: a gratis copy makes no relay decision,
+            # so a later native copy still gets a fresh one.  With the rule
+            # off (comparison runs) a gratis copy is checked like a native
+            # one.  No once-only guard: MC/U, C/U and R/U state suppress
+            # re-relays, and under M/U the node's own send marks every
+            # neighbour.  The reception table M/U reads is marked by every
+            # copy, gratis or not, as it is for table coding; no variant
+            # pairs M/U with gratis coding.
+            entry.prev_hops |= 1 << tx
+            if c.gratis and self._gratis_rule:
+                if self.log is not None:
+                    self._logev(now, "gratis-dup", c.pid)
+            elif self.term.check(c.pid, now, view) is Decision.DROP:
+                if self.log is not None:
+                    self._logev(now, "drop-term", c.pid)
+            else:
+                self._relay(c, now, actions)
+        if self.bank and len(pool) > pooled:
             self._resolve_bank(now, actions)
         return actions
 
-    def _process_constituent(
-        self,
-        c: ConstituentHeader,
-        payload: int | None,
-        tx_node: int,
-        now: float,
-        actions: list[Action],
+    def _take_new(
+        self, c: ConstituentHeader, payload: int, tx_node: int, now: float, actions: list[Action]
     ) -> None:
-        entry, was_new = self.pool.record_copy(c.pid, tx_node, payload, c.origin_time)
-        if was_new:
-            actions.append(entry)
-            if c.pid.source != self.id:
-                self.metrics.on_delivery(self.id, c.pid, now - c.origin_time)
-        # Gratis receiving rule: a gratis copy makes no relay decision, so a
-        # later native copy still gets a fresh one.  With the rule off
-        # (comparison runs) a gratis copy is checked like a native one.  The
-        # reception table M/U reads is marked by every copy, gratis or not,
-        # as it is for table coding; no variant pairs M/U with gratis coding.
-        rule_gratis = c.gratis and not self.config.gratis_rule_off
-        if rule_gratis:
-            if not was_new:
-                self._logev(now, "gratis-dup", c.pid)
-                return
+        """Pool and deliver the first copy of a constituent, then decide."""
+        entry, _ = self.pool.record_copy(c.pid, tx_node, payload, c.origin_time)
+        actions.append(entry)
+        if c.pid.source != self.id:
+            self.metrics.on_delivery(self.id, c.pid, now - c.origin_time)
+        # the duplicate's decision, but a first gratis copy under the rule
+        # goes on to the gratis tail
+        rule_gratis = c.gratis and self._gratis_rule
+        if rule_gratis or self.term.check(c.pid, now, self.view) is not Decision.DROP:
+            self._relay(c, now, actions)
         else:
-            # No once-only guard: MC/U, C/U and R/U state suppress re-relays,
-            # and under M/U the node's own send marks every neighbour.
-            decision = self.term.check(c.pid, now, self.view)
-            if decision is Decision.DROP:
-                self._logev(now, "drop-term", c.pid)
+            self._logev(now, "drop-term", c.pid)
+
+    def _relay(self, c: ConstituentHeader, now: float, actions: list[Action]) -> None:
+        """The tail of a copy termination lets through, new or not: relay it
+        natively when elected, else consider it as a gratis candidate.  A
+        gratis constituent elects no forwarders, so it always takes the
+        gratis branch."""
+        if (c.forwarders >> self.id) & 1:
+            queued = self.queue.get(c.pid)
+            if queued is not None and not queued.gratis:
+                self._logev(now, "dup-queued", c.pid)
                 return
-            if (c.forwarders >> self.id) & 1:
-                queued = self.queue.get(c.pid)
-                if queued is not None and not queued.gratis:
-                    self._logev(now, "dup-queued", c.pid)
-                    return
-                plan = self._plan(OutEntry(c.pid, now, False), now, allow_gratis_pair=False)
-                if len(plan) >= 2:
-                    self._transmit_plan(plan, now, actions)
-                    return
-                # buffer natively; an existing gratis entry is promoted
-                self._buffer(c.pid, now, gratis=False, actions=actions)
-                if queued is not None:
-                    self._logev(now, "promote", c.pid)
+            plan = self._plan(OutEntry(c.pid, now, False), now, allow_gratis_pair=False)
+            if len(plan) >= 2:
+                self._transmit_plan(plan, now, actions)
                 return
-        # a copy this node does not relay natively: a gratis candidate at most
+            # buffer natively; an existing gratis entry is promoted
+            self._buffer(c.pid, now, gratis=False, actions=actions)
+            if queued is not None:
+                self._logev(now, "promote", c.pid)
+            return
         if not self._cr:
-            self._logev(now, "gratis-ignored" if rule_gratis else "drop-notfwd", c.pid)
+            if self.log is not None:
+                rule_gratis = c.gratis and self._gratis_rule
+                self._logev(now, "gratis-ignored" if rule_gratis else "drop-notfwd", c.pid)
         elif c.pid in self.queue:
             self._logev(now, "gratis-already-queued", c.pid)
         else:
@@ -248,13 +267,14 @@ class Node:
             # constituents that arrived after the packet was banked still owe
             # its transmitter a previous-hop credit
             for c in pkt.constituents:
-                if c.pid in self.pool:
-                    self.pool.record_copy(c.pid, pkt.tx_node)
+                entry = self.pool.get(c.pid)
+                if entry is not None:
+                    entry.prev_hops |= 1 << pkt.tx_node
             for c in pkt.constituents:
                 if c.pid == result.recovered_pid:
                     self._logev(now, "decode-late", c.pid)
                     self.metrics.decode_late += 1
-                    self._process_constituent(c, result.recovered_payload, pkt.tx_node, now, actions)
+                    self._take_new(c, result.recovered_payload, pkt.tx_node, now, actions)
 
     def flush_bank(self, now: float) -> None:
         """Write off banked packets whose decode window has closed."""

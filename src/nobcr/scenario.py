@@ -45,6 +45,27 @@ def _field(item, key: str, what: str):
     return item[key]
 
 
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ScriptError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _number(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScriptError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _sn(item, what: str) -> int:
+    sn = _field(item, "sn", what)
+    if isinstance(sn, bool) or not isinstance(sn, int) or sn < 1:
+        raise ScriptError(
+            f"{what} 'sn' must be an integer: sequence numbers start at 1, got {sn!r}"
+        )
+    return sn
+
+
 def load_script(path: str | Path) -> Scenario:
     raw = json.loads(Path(path).read_text())
     if not isinstance(raw, dict):
@@ -62,15 +83,19 @@ def load_script(path: str | Path) -> Scenario:
     if "positions" in raw and "adjacency" in raw:
         raise ScriptError("give either positions or adjacency, not both")
     if "positions" in raw:
-        pts = raw["positions"]
+        pts = _list(raw["positions"], "positions")
         if len(pts) != n:
             raise ScriptError(f"expected {n} positions, got {len(pts)}")
-        positions = [(float(x), float(y)) for x, y in pts]
+        positions = []
+        for pt in pts:
+            if not isinstance(pt, list) or len(pt) != 2:
+                raise ScriptError(f"positions are [x, y] pairs, got {pt!r}")
+            positions.append((_number(pt[0], "position x"), _number(pt[1], "position y")))
     elif "adjacency" in raw:
         if config.speed_max > 0:
             raise ScriptError("explicit adjacency requires a static scenario")
         adjacency = [0] * n
-        for edge in raw["adjacency"]:
+        for edge in _list(raw["adjacency"], "adjacency"):
             if not isinstance(edge, list) or len(edge) != 2:
                 raise ScriptError(f"edges are [a, b] pairs, got {edge!r}")
             a = _check_node(edge[0], n, "edge endpoint")
@@ -83,12 +108,10 @@ def load_script(path: str | Path) -> Scenario:
         raise ScriptError("script needs positions or adjacency")
 
     injections = []
-    for item in raw.get("injections", []):
+    for item in _list(raw.get("injections", []), "injections"):
         source = _check_node(_field(item, "source", "injection"), n, "injection source")
-        sn = _field(item, "sn", "injection")
-        if not isinstance(sn, int) or sn < 1:
-            raise ScriptError(f"sequence numbers start at 1, got {sn!r}")
-        t = float(_field(item, "time", "injection"))
+        sn = _sn(item, "injection")
+        t = _number(_field(item, "time", "injection"), "injection 'time'")
         if t < 0:
             raise ScriptError("injection time must be >= 0")
         injections.append((t, source, sn))
@@ -97,11 +120,14 @@ def load_script(path: str | Path) -> Scenario:
     injections.sort()
 
     rad_values: dict[tuple[int, int, int], list[float]] = {}
-    for item in raw.get("rad_overrides", []):
+    for item in _list(raw.get("rad_overrides", []), "rad_overrides"):
         node = _check_node(_field(item, "node", "override"), n, "override node")
         source = _check_node(_field(item, "source", "override"), n, "override source")
-        sn = _field(item, "sn", "override")
-        values = [float(v) for v in _field(item, "values", "override")]
+        sn = _sn(item, "override")
+        values = [
+            _number(v, "override 'values' entry")
+            for v in _list(_field(item, "values", "override"), "override 'values'")
+        ]
         if any(v < 0 for v in values):
             raise ScriptError("RAD values must be >= 0")
         key = (node, source, sn)

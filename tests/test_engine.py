@@ -357,6 +357,20 @@ def test_waypoint_position_is_time_consistent():
     assert probe[1] == probe[4]
 
 
+def test_waypoint_position_is_pure_on_leg_boundaries():
+    """A query exactly on a leg boundary reads the earlier leg, wherever the
+    walker's cursor stood: the end of a move and the start of the pause after
+    it differ in the last bits."""
+    def walker():
+        return Waypoint(substream(8, "mob", 3), 500.0, 2.0, 6.0, 1.0, t0=0.0)
+
+    traj = walker()
+    traj.position(2000.0)
+    for leg in traj._legs[1:]:
+        traj.position((leg[0] + leg[1]) / 2)
+        assert traj.position(leg[0]) == walker().position(leg[0])
+
+
 def test_waypoint_speed_matches_harmonic_average():
     """Sampled path speed converges to the time average of the speed draw,
     computed by quadrature; 5% tolerance on a long trajectory."""
@@ -376,18 +390,23 @@ def test_waypoint_speed_matches_harmonic_average():
 
 @settings(deadline=None)
 @given(
-    n=st.integers(1, 5),
+    n=st.integers(1, 6),
     seed=st.integers(0, 10_000),
     speed_min=st.floats(0.1, 5.0),
-    speed_span=st.floats(0.0, 20.0),
+    speed_span=st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
     pause=st.one_of(st.just(0.0), st.floats(0.1, 5.0)),
     data=st.data(),
 )
-def test_leg_cache_positions_equal_waypoint_positions(n, seed, speed_min, speed_span, pause, data):
-    config = cfg(n_nodes=n, n_sources=0, area_side=400.0, seed=seed, mac_jitter=0.02,
-                 speed_min=speed_min, speed_max=speed_min + speed_span, pause_time=pause,
-                 mobility_warmup=5.0, hello_enabled=True)
+def test_mobile_receivers_equal_the_brute_force_set(n, seed, speed_min, speed_span, pause, data):
+    """Walkers are pure in ``t``, and the radio's receivers, from sure
+    receivers and tested candidates, equal an exact test of every node,
+    whatever order the queries come in."""
+    config = cfg(n_nodes=n, n_sources=0, area_side=400.0, tx_range=150.0, seed=seed,
+                 mac_jitter=0.02, speed_min=speed_min, speed_max=speed_min + speed_span,
+                 pause_time=pause, mobility_warmup=5.0, hello_enabled=True)
     radio = Radio(config)
+    span = config.tx_range / (20 * config.speed_max)  # the radio's anchor span
+    r2 = config.tx_range ** 2
 
     def walkers():
         return [
@@ -396,24 +415,39 @@ def test_leg_cache_positions_equal_waypoint_positions(n, seed, speed_min, speed_
             for i in range(n)
         ]
 
-    reference = walkers()  # queried exactly as the engine queried before its leg cache
+    queried = walkers()  # answers every query in sequence
     boundaries = walkers()  # only read for leg starts and ends
     t = 0.0
     for _ in range(data.draw(st.integers(1, 40))):
-        step = data.draw(st.sampled_from(["forward", "back", "start", "end"]))
-        if step == "forward":  # often within one jitter, so a back step can cross a boundary
+        step = data.draw(st.sampled_from(["forward", "drift", "back", "jump", "start", "end"]))
+        if step == "drift":  # as far as the anchor span allows, so walkers move the most
+            t += span * data.draw(st.floats(0.5, 1.0))
+        elif step == "forward":  # often within one jitter, so a back step can cross a boundary
             t += data.draw(st.one_of(st.floats(0.0, config.mac_jitter), st.floats(0.0, 4.0)))
         elif step == "back":  # a relay's MAC jitter can place it before the last broadcast
             t = max(0.0, t - data.draw(st.floats(0.0, config.mac_jitter)))
+        elif step == "jump":  # farther than the anchor span, either way
+            sign = data.draw(st.sampled_from([-1, 1]))
+            t = max(0.0, t + sign * span * data.draw(st.floats(1.01, 4.0)))
         else:
             walker = boundaries[data.draw(st.integers(0, n - 1))]
             field = 0 if step == "start" else 1
             while walker._legs[-1][field] < t:
                 walker.position(walker._legs[-1][1] + 1.0)
-            ahead = [leg[field] for leg in walker._legs if leg[field] >= t]
+            # the boundaries nearest t, behind it too: a step back exactly onto
+            # the start of the leg the last query fell on
+            nearest = sorted((leg[field] for leg in walker._legs), key=lambda b: abs(b - t))
             near = st.one_of(st.just(0.0), st.floats(-config.mac_jitter, config.mac_jitter))
-            t = max(0.0, data.draw(st.sampled_from(ahead[:3])) + data.draw(near))
-        assert radio.positions(t) == [w.position(t) for w in reference]
+            t = max(0.0, data.draw(st.sampled_from(nearest[:3])) + data.draw(near))
+        where = [w.position(t) for w in walkers()]
+        assert [w.position(t) for w in queried] == where
+        sender = data.draw(st.integers(0, n - 1))
+        xs, ys = where[sender]
+        in_range = [j for j, (x, y) in enumerate(where)
+                    if j != sender and (xs - x) * (xs - x) + (ys - y) * (ys - y) <= r2]
+        mask, ids = radio.receivers(sender, t)
+        assert list(ids) == in_range
+        assert mask == from_ids(in_range)
 
 
 def test_pause_time_freezes_the_walker():

@@ -157,6 +157,21 @@ class TestLoadScript:
                 lambda b: b.update(adjacency=[5]) or b.pop("positions"),
                 "[a, b] pairs, got 5",
             ),
+            (
+                lambda b: b.update(rad_overrides=[{"node": 1, "source": 0, "sn": 1, "values": 5}]),
+                "override 'values' must be a list, got 5",
+            ),
+            (
+                lambda b: b.update(rad_overrides=[{"node": 1, "source": 0, "sn": "1", "values": [1]}]),
+                "override 'sn' must be an integer",
+            ),
+            (
+                lambda b: b.update(injections=[{"time": None, "source": 0, "sn": 1}]),
+                "injection 'time' must be a number, got None",
+            ),
+            (lambda b: b.update(positions=[5, 5, 5]), "[x, y] pairs, got 5"),
+            (lambda b: b.update(positions=5), "positions must be a list, got 5"),
+            (lambda b: b.update(injections=5), "injections must be a list, got 5"),
         ],
     )
     def test_rejects_malformed_scripts(self, tmp_path, mutate, fragment):
@@ -217,3 +232,54 @@ class TestRadOverrideTable:
         assert table(1, pid) == 0.7
         assert table(1, pid) is None
         assert table(2, pid) is None
+
+
+# Three events fall on t = 3.0 exactly: an injection at node 2 (queued at
+# start-up), the pool eviction of node 1's copy of (0, 1), received at 1.0
+# with a pool lifetime of 2.0, and node 1's RAD expiry for the same packet,
+# forced to 2.0.  Every air time is 512 bytes at 65,536 bit/s, 0.0625 s, so
+# the times are exact binary fractions.
+TIE_SCRIPT = {
+    "config": {
+        "n_nodes": 3,
+        "area_side": 500,
+        "sim_duration": 4.0,
+        "n_sources": 1,
+        "tx_range": 250,
+        "bandwidth_bps": 65536,
+        "pkt_size": 496,
+        "collisions": False,
+        "mac_jitter": 0,
+        "hello_enabled": False,
+        "pool_lifetime": 2.0,
+        "coding": "none",
+        "coded_redundancy": False,
+    },
+    "positions": [[0, 0], [200, 0], [400, 0]],
+    "injections": [
+        {"time": 0.9375, "source": 0, "sn": 1},
+        {"time": 3.0, "source": 2, "sn": 1},
+    ],
+    "rad_overrides": [{"node": 1, "source": 0, "sn": 1, "values": [2.0]}],
+}
+
+
+def test_tied_events_run_in_queueing_order(tmp_path):
+    """Events at one time run in the order they were queued, evictions
+    included: the injection queued at start-up first, then the eviction,
+    queued when (0, 1) was pooled, which drops the buffered copy before its
+    RAD expiry, queued just after it, can send it."""
+    _, log = run_scenario(load_script(_write(tmp_path, TIE_SCRIPT)))
+    p1, q1 = "PacketId(source=0, sn=1)", "PacketId(source=2, sn=1)"
+    assert log.entries == [
+        (0.9375, 0, "gen", p1),
+        (0.9375, 0, "tx", p1),
+        (1.0, 1, "buffer", f"{p1} until 3.000"),
+        (3.0, 2, "gen", q1),
+        (3.0, 2, "tx", q1),
+        (3.0, 1, "evict-queued", p1),
+        (3.0625, 1, "buffer", f"{q1} until 3.069"),
+        (3.069034971484865, 1, "tx", q1),
+        (3.131534971484865, 0, "drop-notfwd", q1),
+        (3.131534971484865, 2, "drop-term", q1),
+    ]
