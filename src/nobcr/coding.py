@@ -38,26 +38,16 @@ class PacketPool(dict[PacketId, PoolEntry]):
         self.lifetime = lifetime
 
     def record_copy(
-        self,
-        pid: PacketId,
-        prev_hop: int | None,
-        payload: int | None = None,
-        origin_time: float = 0.0,
-    ) -> tuple[PoolEntry, bool]:
-        """Record a received copy; first copy must carry the payload.
-
-        Returns (entry, was_new).  Duplicates only grow the previous-hop set.
-        """
-        entry = self.get(pid)
-        if entry is not None:
-            if prev_hop is not None:
-                entry.prev_hops |= 1 << prev_hop
-            return entry, False
-        if payload is None:
-            raise ValueError("first copy of a packet must include its payload")
+        self, pid: PacketId, prev_hop: int | None, payload: int, origin_time: float = 0.0
+    ) -> PoolEntry:
+        """Pool the first copy of a packet, heard from ``prev_hop`` (None for
+        the node's own packets).  A later copy ORs its hop into the entry's
+        ``prev_hops`` instead."""
+        if pid in self:
+            raise ValueError(f"{pid} is already pooled")
         hops = 0 if prev_hop is None else 1 << prev_hop
         entry = self[pid] = PoolEntry(pid, payload, hops, prev_hop, origin_time)
-        return entry, True
+        return entry
 
     def item_count(self) -> int:
         """Detector storage: previous hops recorded over all pooled entries."""

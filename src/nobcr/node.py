@@ -10,7 +10,10 @@ lives here: neighbour view, termination state, packet pool, reception table
 (under table coding or M/U termination), output queue, decode bank.  A node
 keeps one holder estimate, :attr:`Node.holders`, fixed at construction by the
 coding mode: coding detection and gratis marking both read it.  Under M/U the
-termination criterion reads the same reception table.
+termination criterion reads the same reception table.  A reception that
+decodes, on arrival or later from the decode bank, takes one path
+(:meth:`Node._take`): each constituent is pooled or credits its hop, then gets
+the same relay decision.
 """
 from __future__ import annotations
 
@@ -167,49 +170,46 @@ class Node:
             payload = result.recovered_payload
         else:
             payload = pkt.payload
-        # every constituent but the recovered one, if any, is already pooled
-        for c in cs:
-            entry = pool.get(c.pid)
-            if entry is None:
-                self._take_new(c, payload, tx, now, actions)
-                continue
-            # A copy that brings nothing new: credit its hop, then decide.
-            # Gratis receiving rule: a gratis copy makes no relay decision,
-            # so a later native copy still gets a fresh one.  With the rule
-            # off (comparison runs) a gratis copy is checked like a native
-            # one.  No once-only guard: MC/U, C/U and R/U state suppress
-            # re-relays, and under M/U the node's own send marks every
-            # neighbour.  The reception table M/U reads is marked by every
-            # copy, gratis or not, as it is for table coding; no variant
-            # pairs M/U with gratis coding.
-            entry.prev_hops |= 1 << tx
-            if c.gratis and self._gratis_rule:
-                if self.log is not None:
-                    self._logev(now, "gratis-dup", c.pid)
-            elif self.term.check(c.pid, now, view) is Decision.DROP:
-                if self.log is not None:
-                    self._logev(now, "drop-term", c.pid)
-            else:
-                self._relay(c, now, actions)
+        self._take(pkt, payload, now, actions)
         if self.bank and len(pool) > pooled:
             self._resolve_bank(now, actions)
         return actions
 
-    def _take_new(
-        self, c: ConstituentHeader, payload: int, tx_node: int, now: float, actions: list[Action]
-    ) -> None:
-        """Pool and deliver the first copy of a constituent, then decide."""
-        entry, _ = self.pool.record_copy(c.pid, tx_node, payload, c.origin_time)
-        actions.append(entry)
-        if c.pid.source != self.id:
-            self.metrics.on_delivery(self.id, c.pid, now - c.origin_time)
-        # the duplicate's decision, but a first gratis copy under the rule
-        # goes on to the gratis tail
-        rule_gratis = c.gratis and self._gratis_rule
-        if rule_gratis or self.term.check(c.pid, now, self.view) is not Decision.DROP:
-            self._relay(c, now, actions)
-        else:
-            self._logev(now, "drop-term", c.pid)
+    def _take(self, pkt: Packet, payload: int, now: float, actions: list[Action]) -> None:
+        """Decide each constituent of a decodable reception, on arrival or
+        late from the bank; ``payload`` is the one unknown constituent's, if
+        any.  A new copy is pooled and delivered; a pooled one credits its
+        hop.  Then the same decision: termination, then :meth:`_relay`.
+
+        Gratis receiving rule: a gratis copy makes no termination check, so a
+        later native copy still gets a fresh one; a first gratis copy goes on
+        to the gratis tail, a pooled one stops.  With the rule off
+        (comparison runs) a gratis copy is checked like a native one.  No
+        once-only guard: MC/U, C/U and R/U state suppress re-relays, and under
+        M/U the node's own send marks every neighbour.  The reception table
+        M/U reads is marked by every copy, gratis or not, as it is for table
+        coding; no variant pairs M/U with gratis coding.
+        """
+        tx = pkt.tx_node
+        pool = self.pool
+        for c in pkt.constituents:
+            entry = pool.get(c.pid)
+            if entry is not None:
+                entry.prev_hops |= 1 << tx
+            else:
+                actions.append(pool.record_copy(c.pid, tx, payload, c.origin_time))
+                if c.pid.source != self.id:
+                    self.metrics.on_delivery(self.id, c.pid, now - c.origin_time)
+            if c.gratis and self._gratis_rule:
+                if entry is None:
+                    self._relay(c, now, actions)
+                elif self.log is not None:
+                    self._logev(now, "gratis-dup", c.pid)
+            elif self.term.check(c.pid, now, self.view) is Decision.DROP:
+                if self.log is not None:
+                    self._logev(now, "drop-term", c.pid)
+            else:
+                self._relay(c, now, actions)
 
     def _relay(self, c: ConstituentHeader, now: float, actions: list[Action]) -> None:
         """The tail of a copy termination lets through, new or not: relay it
@@ -251,9 +251,12 @@ class Node:
     def _resolve_bank(self, now: float, actions: list[Action]) -> None:
         """Retry banked encoded packets against the current pool.
 
-        A successful retry feeds the recovered constituent through the normal
-        reception pipeline, which can unlock further banked packets, so the
-        scan restarts after each success until no live entry decodes.
+        A packet that decodes takes :meth:`_take`, as on arrival; it counts as
+        a late decode when it recovers a constituent.  Two banked copies of
+        one XOR resolve one after the other, so the second finds every
+        constituent pooled and takes the duplicate decision for each.  A
+        recovered constituent can unlock further banked packets, so the scan
+        restarts after each success until no live entry decodes.
         """
         while True:
             for i, (expiry, pkt) in enumerate(self.bank):
@@ -264,17 +267,10 @@ class Node:
             else:
                 return
             del self.bank[i]
-            # constituents that arrived after the packet was banked still owe
-            # its transmitter a previous-hop credit
-            for c in pkt.constituents:
-                entry = self.pool.get(c.pid)
-                if entry is not None:
-                    entry.prev_hops |= 1 << pkt.tx_node
-            for c in pkt.constituents:
-                if c.pid == result.recovered_pid:
-                    self._logev(now, "decode-late", c.pid)
-                    self.metrics.decode_late += 1
-                    self._take_new(c, result.recovered_payload, pkt.tx_node, now, actions)
+            if result.recovered_pid is not None:
+                self._logev(now, "decode-late", result.recovered_pid)
+                self.metrics.decode_late += 1
+            self._take(pkt, result.recovered_payload, now, actions)
 
     def flush_bank(self, now: float) -> None:
         """Write off banked packets whose decode window has closed."""
@@ -309,9 +305,7 @@ class Node:
 
     def on_generate(self, sn: int, now: float) -> list[Action]:
         pid = PacketId(self.id, sn)
-        entry, was_new = self.pool.record_copy(pid, None, make_payload(pid), now)
-        assert was_new, "source sequence numbers must not repeat"
-        actions: list[Action] = [entry]
+        actions: list[Action] = [self.pool.record_copy(pid, None, make_payload(pid), now)]
         self.term.check(pid, now, self.view)  # register own packet
         self.metrics.generated += 1
         self._logev(now, "gen", pid)

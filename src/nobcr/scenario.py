@@ -108,12 +108,16 @@ def load_script(path: str | Path) -> Scenario:
         raise ScriptError("script needs positions or adjacency")
 
     injections = []
+    injected = set()
     for item in _list(raw.get("injections", []), "injections"):
         source = _check_node(_field(item, "source", "injection"), n, "injection source")
         sn = _sn(item, "injection")
         t = _number(_field(item, "time", "injection"), "injection 'time'")
         if t < 0:
             raise ScriptError("injection time must be >= 0")
+        if (source, sn) in injected:
+            raise ScriptError(f"packet (source {source}, sn {sn}) is injected twice")
+        injected.add((source, sn))
         injections.append((t, source, sn))
     if not injections:
         raise ScriptError("script needs at least one injection")

@@ -44,29 +44,30 @@ def queued(p, deadline, gratis):
 # --------------------------------------------------------------------------
 
 
-def test_first_copy_requires_payload():
+def test_record_copy_pools_only_a_first_copy():
     pool = PacketPool(lifetime=2.0)
-    with pytest.raises(ValueError):
-        pool.record_copy(pid(1), prev_hop=3)
-    entry, was_new = pool.record_copy(pid(1), 3, payload=0xAB)
-    assert was_new and entry.first_hop == 3 and entry.prev_hops == bit(3)
-    assert pid(1) in pool and len(pool) == 1
+    entry = pool.record_copy(pid(1), 3, payload=0xAB)
+    assert entry.first_hop == 3 and entry.prev_hops == bit(3)
+    assert pool[pid(1)] is entry and len(pool) == 1
+    with pytest.raises(ValueError, match="already pooled"):
+        pool.record_copy(pid(1), 5, payload=0xAB)
+    assert pool[pid(1)] is entry and entry.prev_hops == bit(3)
 
 
 def test_duplicates_grow_hop_set_once():
     pool = PacketPool(lifetime=2.0)
-    pool.record_copy(pid(1), 3, payload=1)
-    entry, was_new = pool.record_copy(pid(1), 5)
-    assert not was_new and entry.prev_hops == from_ids({3, 5})
+    entry = pool.record_copy(pid(1), 3, payload=1)
+    entry.prev_hops |= bit(5)  # a later copy credits its hop, as a node does
+    assert entry.prev_hops == from_ids({3, 5})
     assert pool.item_count() == 2
-    pool.record_copy(pid(1), 5)  # same hop again
+    entry.prev_hops |= bit(5)  # same hop again
     assert pool.item_count() == 2
 
 
 def test_own_packet_has_no_hops():
     pool = PacketPool(lifetime=2.0)
-    entry, was_new = pool.record_copy(pid(1), None, payload=9)
-    assert was_new and entry.first_hop is None and entry.prev_hops == 0
+    entry = pool.record_copy(pid(1), None, payload=9)
+    assert entry.first_hop is None and entry.prev_hops == 0
     assert pool.item_count() == 0
 
 
@@ -81,7 +82,10 @@ def test_items_tracks_total_hop_count():
             del hops[p]
         else:
             hop = rng.randint(0, 30)
-            pool.record_copy(p, hop, payload=1)
+            if p in pool:
+                pool[p].prev_hops |= bit(hop)
+            else:
+                pool.record_copy(p, hop, payload=1)
             hops.setdefault(p, set()).add(hop)
         assert pool.item_count() == sum(len(h) for h in hops.values())
 
@@ -96,9 +100,9 @@ def test_receivers_union_advertised_neighbourhoods():
     v.note_hello(1, from_ids({0, 2}), now=0.0, horizon=10.0)
     v.note_hello(3, from_ids({0, 4}), now=0.0, horizon=10.0)
     pool = PacketPool(lifetime=2.0)
-    entry, _ = pool.record_copy(pid(1), 1, payload=1)
+    entry = pool.record_copy(pid(1), 1, payload=1)
     assert receivers_of(entry, v) == from_ids({0, 2})
-    pool.record_copy(pid(1), 3)
+    entry.prev_hops |= bit(3)
     assert receivers_of(entry, v) == from_ids({0, 2, 4})
 
 
@@ -108,7 +112,7 @@ def test_hop_estimate_reads_the_pooled_entry():
     pool = PacketPool(lifetime=2.0)
     holders = hop_estimate(pool, v)
     assert holders(pid(1), 0.0) == 0  # not pooled: nobody is estimated
-    entry, _ = pool.record_copy(pid(1), 1, payload=1)
+    entry = pool.record_copy(pid(1), 1, payload=1)
     assert holders(pid(1), 0.0) == receivers_of(entry, v) == from_ids({0, 2})
     del pool[pid(1)]
     assert holders(pid(1), 0.0) == 0
@@ -117,7 +121,7 @@ def test_hop_estimate_reads_the_pooled_entry():
 def test_unknown_hop_counts_only_itself():
     v = NeighborView(owner=0)
     pool = PacketPool(lifetime=2.0)
-    entry, _ = pool.record_copy(pid(1), 7, payload=1)
+    entry = pool.record_copy(pid(1), 7, payload=1)
     assert receivers_of(entry, v) == bit(7)
 
 
@@ -128,8 +132,8 @@ def test_own_relay_adds_own_neighbourhood():
     v.note_hello(1, 0, now=0.0, horizon=10.0)
     v.note_hello(2, 0, now=0.0, horizon=10.0)
     pool = PacketPool(lifetime=2.0)
-    entry, _ = pool.record_copy(pid(1), None, payload=1)
-    pool.record_copy(pid(1), 0)  # own transmission recorded as a hop
+    entry = pool.record_copy(pid(1), None, payload=1)
+    entry.prev_hops |= bit(0)  # own transmission recorded as a hop
     assert receivers_of(entry, v) == from_ids({0, 1, 2})
 
 
@@ -145,9 +149,9 @@ def test_receivers_of_is_the_union_over_prev_hops(owner, advertised, hops):
     for u, adv in neigh_of.items():
         v.note_hello(u, from_ids(adv), now=0.0, horizon=10.0)
     pool = PacketPool(lifetime=2.0)
-    entry, _ = pool.record_copy(pid(1), hops[0], payload=1)
+    entry = pool.record_copy(pid(1), hops[0], payload=1)
     for hop in hops[1:]:
-        pool.record_copy(pid(1), hop)
+        entry.prev_hops |= bit(hop)
     union = 0
     for i in members(entry.prev_hops):
         union |= v.union_of(bit(i))
@@ -257,9 +261,9 @@ def test_holder_estimates_leave_their_inputs_unchanged():
     v.note_hello(1, from_ids({0, 2}), now=0.0, horizon=10.0)
     v.note_hello(3, from_ids({0, 4}), now=0.0, horizon=10.0)
     pool = PacketPool(lifetime=2.0)
-    entry, _ = pool.record_copy(pid(1), 1, payload=1)
-    pool.record_copy(pid(1), 7)  # a hop the view does not know
-    pool.record_copy(pid(1), 0)  # the owner itself
+    entry = pool.record_copy(pid(1), 1, payload=1)
+    entry.prev_hops |= bit(7)  # a hop the view does not know
+    entry.prev_hops |= bit(0)  # the owner itself
     before = dataclasses.asdict(entry), dataclasses.asdict(v)
     assert receivers_of(entry, v) == from_ids({0, 1, 2, 3, 7})
     assert (dataclasses.asdict(entry), dataclasses.asdict(v)) == before

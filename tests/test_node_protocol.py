@@ -455,6 +455,51 @@ def test_bank_cascade_resolves_chains():
     assert node.pool.get(p3).payload == make_payload(p3)
 
 
+def test_late_decode_acts_on_an_election_for_a_held_constituent():
+    # p^q elects node 0 for q, but both are unknown, so it is banked.  An
+    # unelected native q arrives and decodes p late; the banked copy's
+    # election for q, a packet node 1 still misses, must then be acted on.
+    node = _codeb_node()
+    p, q = PacketId(3, 1), PacketId(4, 1)
+    node.on_receive(xor_pkt([p, q], forwarders_of={q: bit(0)}, tx_node=3), now=1.0)
+    assert len(node.bank) == 1
+    node.on_receive(native(q, forwarders=0, tx_node=2), now=1.5)
+    assert node.metrics.decode_late == 1 and not node.bank
+    assert not node.queue[q].gratis
+
+
+def test_late_decode_is_the_first_native_decision_for_a_gratis_copy():
+    # the pooled copy of q was gratis, so it made no termination check and
+    # was buffered as a gratis candidate; the banked p^q electing node 0 for
+    # q is the first native decision on q, and promotes it
+    log = SimLog()
+    node = make_node(0, neighbors={1: 0, 2: 0, 3: 0}, log=log)
+    p, q = PacketId(3, 1), PacketId(4, 1)
+    node.on_receive(xor_pkt([p, q], forwarders_of={q: bit(0)}, tx_node=3), now=1.0)
+    node.on_receive(gratis_pkt(q, tx_node=1), now=1.5)
+    assert node.metrics.decode_late == 1 and not node.bank
+    assert not node.queue[q].gratis
+    assert [e[3] for e in log.filter(kind="promote")] == [str(q)]
+
+
+def test_two_banked_copies_of_one_xor_decode_late_once():
+    # the first copy recovers q; the second then finds p and q both pooled
+    # and takes the duplicate decision for each, with no second late decode
+    log = SimLog()
+    node = make_node(0, neighbors={1: 0, 2: 0, 3: 0}, coded_redundancy=False, log=log)
+    p, q = PacketId(3, 1), PacketId(4, 1)
+    node.on_receive(xor_pkt([p, q], tx_node=1), now=1.0)
+    node.on_receive(xor_pkt([p, q], tx_node=2), now=1.1)
+    assert len(node.bank) == 2
+    node.on_receive(native(p, forwarders=0, tx_node=3), now=1.5)
+    assert node.metrics.decode_late == 1 and not node.bank
+    assert [e[3] for e in log.filter(kind="decode-late")] == [str(q)]
+    # MC/U: each constituent's first check relays it, every later one drops
+    assert [e[3] for e in log.filter(kind="drop-term")] == [str(p), str(p), str(q)]
+    assert node.pool[p].prev_hops == from_ids({1, 2, 3})
+    assert node.pool[q].prev_hops == from_ids({1, 2})
+
+
 def test_bank_expiry_counts_decode_failure():
     node = make_node(0, neighbors={1: 0})
     p1, p2 = PacketId(1, 1), PacketId(2, 1)

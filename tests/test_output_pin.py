@@ -18,6 +18,10 @@ A refactor or a speed-up must leave every digest alone.  An intended change
 of behaviour re-records only the rows of the variants it changes, and says
 so, with the shift in results, in CHANGES.md; since every row is keyed by its
 experiment and variant, a failure names the runs that moved.
+
+``PYTHONPATH=src python tests/test_output_pin.py`` prints every pin's current
+rows in the form of the literals below, marking each row that differs from
+the recorded one, so that re-recording is a copy of the marked lines.
 """
 import hashlib
 
@@ -29,9 +33,9 @@ HEADER_SHA256 = "c6f560a20b80887bc1f05e6cd97e89766010c0a2ab8806f772b22a7dc5adc26
 
 RAW_ROWS = [
     ("dense-sources", "codeb", "b17ba6c678a03d45d9b8cd6cdcbd6dc5e4316b2b330b396a30d0b7644373df77"),
-    ("dense-sources", "nobcr", "c1b2edd07eef2973d3d6ef66120e12910194fdc6d7765aa4f189cacc29823733"),
+    ("dense-sources", "nobcr", "79889134fe7e599f5fd50fd0a2219b2105fba98966d597da34b1256104ceb71e"),
     ("dense-sources", "nobcr-nocr", "074c5b125af45407167c4d05a40195affe85985675fc672798534eb46e785aa2"),
-    ("dense-sources", "nobcr-table", "986102b7124f22358e362dc02abba862b0569e6f3fc0abee94e173c7b2eaaf43"),
+    ("dense-sources", "nobcr-table", "354ab9981c67759c8cb9897093707a16a439b9580398ed0c86211964f9eb47ee"),
     ("dense-sources", "pdp-cu", "218de12f42ca4f218ba1b58440e9128b36bc1916de0a1165b3902cb8ced8621a"),
     ("dense-sources", "pdp-cu-rad", "6033aeb299bc0676499aa9d668821a9b7de0cba02d6e0ca982c1b39c0304ea76"),
     ("dense-sources", "pdp-mcu", "01e95daf2c2ebdc183009358a28a5e30eed9dcfe236f0bcd15c0040528a1269c"),
@@ -41,20 +45,20 @@ RAW_ROWS = [
     ("mobility", "pdp-cu", "6dd9386b96f40e704a95e413be0b8bd5edf7e4f7858db75ba018a418608083b4"),
 ]
 SMALL_WINDOW_ROWS = [
-    ("dense-sources", "nobcr", "f9bbf4898b1311c01d838f4baabe2935147a29dc73c39b9ad798ac2e73415fe5"),
-    ("dense-sources", "nobcr-table", "a29109b4a54623cb25b8d28726f098a274ea99ae410d4e71d33ece46c408c45b"),
+    ("dense-sources", "nobcr", "75e3374553523277e745888be5f4a3439f6097b05f7a4144fe3706440e6a2965"),
+    ("dense-sources", "nobcr-table", "461e69ee777ac647355248611614032f6600eb69e04835464c125e3e1dd2f0c5"),
     ("dense-sources", "pdp-mcu", "4c4ef688bf1254a829f97d8bad30521d307951b0131503d44616cc48d3657774"),
 ]
 SHORT_EXPIRY_ROWS = [
     ("dense-sources", "codeb", "d1c9a22fd1f9f77b26b054298f474e858eec11cf915caa7c8f79d50990c07744"),
-    ("dense-sources", "nobcr", "d3e4a3e5fa27ee8af5529ee447b33a06ac3e422668d567b402fbfdbb6b02f927"),
-    ("dense-sources", "nobcr-table", "65d59f9646ca9037f55118ffe588b7c5edba9957f19fc40d3bb13a0b27ce376c"),
+    ("dense-sources", "nobcr", "c2c01ea0a7f2b8924404a45049bb8c17a646d808f29fbaad2200a3c3a402925d"),
+    ("dense-sources", "nobcr-table", "0907e107d409ec293e80e90bee8e834bb9470c51e96e54107a8f4dbde7064088"),
     ("dense-sources", "pdp-mu", "ea4e8b630d74dc47ad9204dc211d82ac6514e9dc007226a3944f1e73d2701d53"),
 ]
 STORAGE_ROWS = [
     ("storage", "codeb", "0715655dd668b1496db3244c3c69594e3bbe111b17b2fb2a5e4085d45e03908f"),
-    ("storage", "nobcr", "bca6fce3d14f0fa760e64de3c6e9bc4d0486b0c45794414b4b6eac816b9f70e9"),
-    ("storage", "nobcr-table", "3ffd0470177c1d457a69b8f783ced3ab053fc6feb6d707ddcdde09c3c029aa11"),
+    ("storage", "nobcr", "d0c7c1c65a1b7608097a024894fd9af13e553fbf5ad33283e314d064c1f4d6b3"),
+    ("storage", "nobcr-table", "be6d86a7d46923527502bdbd73d8cd5f02eed390d34aebbff3fbcc7ec4a78242"),
 ]
 
 CASES = [
@@ -68,6 +72,14 @@ SHORT_EXPIRY = {
     "sim_duration": 10, "pool_lifetime": 0.3, "table_expiry": 0.3,
 }
 STORAGE_CASES = [("storage", "10", ("nobcr", "nobcr-table", "codeb"))]
+
+# name of the recorded rows: (cases, overrides, rows), one entry per pin
+PINS = {
+    "RAW_ROWS": (CASES, {"sim_duration": 10}, RAW_ROWS),
+    "SMALL_WINDOW_ROWS": (SMALL_WINDOW_CASES, SMALL_WINDOW, SMALL_WINDOW_ROWS),
+    "SHORT_EXPIRY_ROWS": (SHORT_EXPIRY_CASES, SHORT_EXPIRY, SHORT_EXPIRY_ROWS),
+    "STORAGE_ROWS": (STORAGE_CASES, {"sim_duration": 12}, STORAGE_ROWS),
+}
 
 
 def _tasks(cases, overrides):
@@ -100,16 +112,32 @@ def _check(cases, overrides, expected_rows, path):
 
 
 def test_raw_csv_digest_is_pinned(tmp_path):
-    _check(CASES, {"sim_duration": 10}, RAW_ROWS, tmp_path / "pin_raw.csv")
+    _check(*PINS["RAW_ROWS"], tmp_path / "pin_raw.csv")
 
 
 def test_small_window_raw_csv_digest_is_pinned(tmp_path):
-    _check(SMALL_WINDOW_CASES, SMALL_WINDOW, SMALL_WINDOW_ROWS, tmp_path / "pin_raw.csv")
+    _check(*PINS["SMALL_WINDOW_ROWS"], tmp_path / "pin_raw.csv")
 
 
 def test_short_expiry_raw_csv_digest_is_pinned(tmp_path):
-    _check(SHORT_EXPIRY_CASES, SHORT_EXPIRY, SHORT_EXPIRY_ROWS, tmp_path / "pin_raw.csv")
+    _check(*PINS["SHORT_EXPIRY_ROWS"], tmp_path / "pin_raw.csv")
 
 
 def test_storage_raw_csv_digest_is_pinned(tmp_path):
-    _check(STORAGE_CASES, {"sim_duration": 12}, STORAGE_ROWS, tmp_path / "pin_raw.csv")
+    _check(*PINS["STORAGE_ROWS"], tmp_path / "pin_raw.csv")
+
+
+if __name__ == "__main__":
+    import tempfile
+    from pathlib import Path
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (cases, overrides, recorded) in PINS.items():
+            header, rows = _digests(_tasks(cases, overrides), Path(tmp) / "pin_raw.csv")
+            if header != HEADER_SHA256:
+                print(f"# HEADER_SHA256 differs: {header}")
+            print(f"{name} = [")
+            for row in rows:
+                mark = "" if row in recorded else "  # differs"
+                print('    ("{}", "{}", "{}"),{}'.format(*row, mark))
+            print("]")

@@ -172,6 +172,12 @@ class TestLoadScript:
             (lambda b: b.update(positions=[5, 5, 5]), "[x, y] pairs, got 5"),
             (lambda b: b.update(positions=5), "positions must be a list, got 5"),
             (lambda b: b.update(injections=5), "injections must be a list, got 5"),
+            (
+                lambda b: b.update(injections=[
+                    {"time": 1.0, "source": 0, "sn": 1}, {"time": 2.5, "source": 0, "sn": 1},
+                ]),
+                "packet (source 0, sn 1) is injected twice",
+            ),
         ],
     )
     def test_rejects_malformed_scripts(self, tmp_path, mutate, fragment):
