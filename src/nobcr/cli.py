@@ -90,8 +90,7 @@ def _print_script_result(metrics: Metrics, log, quiet: bool) -> None:
         for line in log.lines():
             print(line)
     print("-- delivered --")
-    pids = sorted({pid for seen in metrics.delivered for pid in seen})
-    for pid in pids:
+    for pid in sorted(metrics.delivered_to):
         nodes = sorted(metrics.delivered_nodes(pid))
         print(f"  {pid}: {nodes}")
     s = metrics.summary()

@@ -26,15 +26,16 @@ def cover_target(view: NeighborView, hops: NodeSet) -> NodeSet:
 
     U(v) = N(N(v)) - N(v) - U_i N(i) - U_i N(N(i) & N(v)) over i in hops,
     minus v and the hops themselves.  Hops with unknown advertised sets only
-    remove themselves; with no hop this is the full 2-hop fringe.
+    remove themselves; with no hop this is the full 2-hop fringe.  The
+    U_i N(N(i) & N(v)) term is one ``union_of`` over (U_i N(i)) & N(v), since
+    a union of neighbourhoods distributes over OR.
     """
-    target = two_hop_set(view) & ~view.one_hop & ~hops
+    neigh_of = view.neigh_of
+    covered = 0
     for i in members(hops):
-        n_i = view.neigh_of.get(i)
-        if n_i is None:
-            continue
-        target &= ~(n_i | view.union_of(n_i & view.one_hop))
-    return target
+        covered |= neigh_of.get(i, 0)
+    covered |= view.union_of(covered & view.one_hop)
+    return two_hop_set(view) & ~view.one_hop & ~hops & ~covered
 
 
 def greedy_set_cover(problem: CoverProblem) -> tuple[NodeSet, NodeSet]:

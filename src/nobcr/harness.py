@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import csv
+import heapq
 import math
-from concurrent.futures import ProcessPoolExecutor
+from array import array
 from functools import cache
+from itertools import islice
 from pathlib import Path
 
 from .config import ScenarioConfig
@@ -67,10 +69,20 @@ def build_tasks(
 
 
 def run_tasks(tasks: list[dict], jobs: int = 1) -> list[dict]:
-    if jobs <= 1 or len(tasks) <= 1:
+    """Run every task and return the rows in key order.
+
+    With one worker (``jobs`` or the task count at most 1) the tasks run in
+    this process.  Otherwise a process pool of ``min(jobs, len(tasks))``
+    workers runs them; the pool module is imported only here, so a run in
+    this process never pays for it.
+    """
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
         rows = [run_one(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(run_one, tasks, chunksize=1))
     rows.sort(key=lambda r: (r["experiment"], r["variant"], _sweep_sort(r["sweep"]), r["seed"]))
     return rows
@@ -189,17 +201,27 @@ def write_agg_csv(aggs: list[dict], path: Path) -> None:
 
 
 def write_delay_cdfs(rows: list[dict], out_dir: Path) -> None:
-    pooled: dict[tuple[str, str], list[float]] = {}
+    """Write ``delay_cdf_<variant>_<sweep>.csv`` per (variant, sweep) that has
+    delay samples: the empirical CDF of the samples pooled over its seeds,
+    thinned to every ``step``-th sorted sample (``step = max(1, n // 500)``
+    of ``n``) and closed by the largest sample at 1.
+
+    One group at a time, each row's ``_delays`` (a list or an ``array("d")``)
+    is sorted into an array of its own and the group's sorted rows are
+    merged, so no list of every pooled sample is built.
+    """
+    groups: dict[tuple[str, str], list] = {}
     for row in rows:
-        pooled.setdefault((row["variant"], row["sweep"]), []).extend(row.get("_delays", ()))
-    for (variant, sweep), delays in sorted(pooled.items()):
-        if not delays:
-            continue
-        delays.sort()
-        n = len(delays)
+        delays = row.get("_delays")
+        if delays:
+            groups.setdefault((row["variant"], row["sweep"]), []).append(delays)
+    for (variant, sweep), samples in sorted(groups.items()):
+        runs = [array("d", sorted(delays)) for delays in samples]
+        n = sum(map(len, runs))
         step = max(1, n // 500)
-        points = [(delays[i], (i + 1) / n) for i in range(0, n, step)]
-        points.append((delays[-1], "1"))
+        kept = islice(heapq.merge(*runs), 0, None, step)
+        points = [(d, (i + 1) / n) for i, d in zip(range(0, n, step), kept)]
+        points.append((max(r[-1] for r in runs), "1"))
         path = out_dir / f"delay_cdf_{variant}_{sweep}.csv"
         _write_csv(path, "#schema=nobcr-delay-cdf-1", ["delay", "cdf"], points)
 

@@ -1,8 +1,10 @@
 """Run counters and derived summary statistics."""
 from __future__ import annotations
 
-import statistics
-from .model import PacketId
+import math
+from array import array
+
+from .model import NodeSet, PacketId, members
 
 # keys of Metrics.summary(), in the order the CSV writers emit them
 SUMMARY_COLUMNS = [
@@ -29,14 +31,22 @@ SUMMARY_COLUMNS = [
 
 
 class Metrics:
-    """Mutable accumulator shared by all nodes of one run."""
+    """Mutable accumulator shared by all nodes of one run.
+
+    Deliveries are kept per packet: ``delivered_to`` maps each delivered
+    packet to the mask of the nodes it reached, one int per packet where a
+    set per node would hold one entry per (node, packet).  ``delay_samples``
+    holds one delay per delivery, in delivery order, as 8-byte doubles.
+    ``delivered`` is a per-node view of the masks, built on each read, for
+    readers that count entries per node.
+    """
 
     def __init__(self, n_nodes: int):
         self.n_nodes = n_nodes
         self.generated = 0
         self.deliveries = 0
-        self.delivered: list[set[PacketId]] = [set() for _ in range(n_nodes)]
-        self.delay_samples: list[float] = []
+        self.delivered_to: dict[PacketId, NodeSet] = {}
+        self.delay_samples = array("d")
         self.data_tx = 0
         self.constituents_tx = 0
         self.encoded_tx = 0
@@ -53,9 +63,9 @@ class Metrics:
         self.sum_pool_entries = 0
 
     def on_delivery(self, node: int, pid: PacketId, delay: float) -> None:
-        seen = self.delivered[node]
-        if pid not in seen:
-            seen.add(pid)
+        reached = self.delivered_to.get(pid, 0)
+        if not reached >> node & 1:
+            self.delivered_to[pid] = reached | 1 << node
             self.deliveries += 1
             self.delay_samples.append(delay)
 
@@ -75,8 +85,17 @@ class Metrics:
 
     # -- queries -------------------------------------------------------------
 
+    @property
+    def delivered(self) -> list[set[PacketId]]:
+        """The packets delivered to each node, one new set per node."""
+        seen: list[set[PacketId]] = [set() for _ in range(self.n_nodes)]
+        for pid, reached in self.delivered_to.items():
+            for v in members(reached):
+                seen[v].add(pid)
+        return seen
+
     def delivered_nodes(self, pid: PacketId) -> set[int]:
-        return {v for v, seen in enumerate(self.delivered) if pid in seen}
+        return set(members(self.delivered_to.get(pid, 0)))
 
     def delivery_ratio(self) -> float:
         possible = self.generated * (self.n_nodes - 1)
@@ -86,12 +105,13 @@ class Metrics:
         """One value per ``SUMMARY_COLUMNS`` key; a key with no derived value
         is the counter attribute of the same name."""
         delays = self.delay_samples
+        ordered = sorted(delays)
         samples = self.storage_samples
         derived = {
             "delivery_ratio": self.delivery_ratio(),
-            "mean_delay": statistics.fmean(delays) if delays else 0.0,
-            "median_delay": statistics.median(delays) if delays else 0.0,
-            "p90_delay": _quantile(delays, 0.9),
+            "mean_delay": math.fsum(delays) / len(delays) if delays else 0.0,
+            "median_delay": _median(ordered),
+            "p90_delay": _percentile(ordered, 90),
             "stored_items_light": self.sum_items_light / samples if samples else 0.0,
             "stored_items_table": self.sum_items_table / samples if samples else 0.0,
             "pool_entries_avg": self.sum_pool_entries / samples if samples else 0.0,
@@ -102,12 +122,27 @@ class Metrics:
         }
 
 
-def _quantile(samples: list[float], q: float) -> float:
-    if not samples:
+def _median(ordered: list[float]) -> float:
+    """``statistics.median`` of sorted samples, 0.0 for none."""
+    n = len(ordered)
+    if not n:
         return 0.0
-    if len(samples) == 1:
-        return samples[0]
-    return statistics.quantiles(sorted(samples), n=100)[int(q * 100) - 1]
+    if n % 2:
+        return ordered[n // 2]
+    return (ordered[n // 2 - 1] + ordered[n // 2]) / 2
+
+
+def _percentile(ordered: list[float], i: int) -> float:
+    """Cut point ``i`` of ``statistics.quantiles(ordered, n=100)`` (its
+    default 'exclusive' method, with the same integer arithmetic), read from
+    sorted samples; a single sample is its own percentile, none gives 0.0."""
+    ld = len(ordered)
+    if ld < 2:
+        return ordered[0] if ld else 0.0
+    m = ld + 1
+    j = min(max(i * m // 100, 1), ld - 1)
+    delta = i * m - j * 100
+    return (ordered[j - 1] * (100 - delta) + ordered[j] * delta) / 100
 
 
 class SimLog:

@@ -5,9 +5,11 @@ Python sets and unbounded memory, trading speed for obviousness.
 """
 from __future__ import annotations
 
+import csv
 import math
 import random
 from itertools import combinations
+from pathlib import Path
 from typing import Iterable
 
 
@@ -127,6 +129,56 @@ def coding_plan_sets(seed, queue, one_hop: set[int], holders: dict, allow_gratis
         if gratis and pid != seed and not one_hop <= holders[pid] and decodable(plan + [pid]):
             plan.append(pid)
     return plan
+
+
+class PerNodeDeliveries:
+    """Deliveries as one set of packet ids per node.
+
+    A packet counts once per node: a repeat delivery to a node is ignored,
+    and each first one adds its delay to ``delay_samples``.
+    """
+
+    def __init__(self, n_nodes: int):
+        self.deliveries = 0
+        self.delivered: list[set] = [set() for _ in range(n_nodes)]
+        self.delay_samples: list[float] = []
+
+    def on_delivery(self, node: int, pid, delay: float) -> None:
+        if pid not in self.delivered[node]:
+            self.delivered[node].add(pid)
+            self.deliveries += 1
+            self.delay_samples.append(delay)
+
+    def delivered_nodes(self, pid) -> set[int]:
+        return {v for v, seen in enumerate(self.delivered) if pid in seen}
+
+
+def write_pooled_delay_cdfs(rows: list[dict], out_dir: Path) -> None:
+    """Delay CDF files from one pooled, sorted list per (variant, sweep).
+
+    Every row's ``_delays`` joins its group's list; a group with samples
+    writes ``delay_cdf_<variant>_<sweep>.csv``: a schema line, a header, then
+    ``(delays[i], (i + 1) / n)`` for every ``step``-th index from 0 with
+    ``step = max(1, n // 500)``, and last the largest delay at ``1``; floats
+    are written with ``.6g``.
+    """
+    pooled: dict[tuple[str, str], list[float]] = {}
+    for row in rows:
+        pooled.setdefault((row["variant"], row["sweep"]), []).extend(row.get("_delays", ()))
+    for (variant, sweep), delays in sorted(pooled.items()):
+        if not delays:
+            continue
+        delays.sort()
+        n = len(delays)
+        step = max(1, n // 500)
+        points = [(delays[i], (i + 1) / n) for i in range(0, n, step)]
+        points.append((delays[-1], "1"))
+        with (out_dir / f"delay_cdf_{variant}_{sweep}.csv").open("w", newline="") as fh:
+            fh.write("#schema=nobcr-delay-cdf-1\n")
+            writer = csv.writer(fh)
+            writer.writerow(["delay", "cdf"])
+            for point in points:
+                writer.writerow([f"{v:.6g}" if isinstance(v, float) else str(v) for v in point])
 
 
 # --------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from nobcr.config import Pruning
 from nobcr.forwarding import (
@@ -143,6 +144,42 @@ def test_cover_targets_match_set_oracle(make_view):
         got_m = cover_target(v, from_ids(hops))
         want_m = multiprev_target_sets(owner, one_hop, neigh_of, hops)
         assert set(members(got_m)) == want_m
+
+
+@st.composite
+def hop_views(draw):
+    """Owner 0 on a random graph, advertisements from a random subset of its
+    neighbours, and a random hop set, which may hold nodes it never heard."""
+    n = draw(st.integers(2, 12))
+    edges = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    adj = [set() for _ in range(n)]
+    for a, b in edges:
+        if a != b:
+            adj[a].add(b)
+            adj[b].add(a)
+    known = draw(st.sets(st.sampled_from(sorted(adj[0])))) if adj[0] else set()
+    hops = draw(st.sets(st.integers(1, n - 1)))
+    return adj, known, hops
+
+
+# hops 1, 2 and 3 of owner 0; hop 2 is a neighbour whose advertisement is unknown
+SEVERAL_HOPS_ONE_UNKNOWN = (
+    [{1, 2, 3}, {0, 2, 4}, {0, 1, 5}, {0, 6}, {1, 7}, {2}, {3, 7}, {4, 6}],
+    {1, 3},
+    {1, 2, 3},
+)
+
+
+@given(hop_views())
+@example(SEVERAL_HOPS_ONE_UNKNOWN)
+def test_cover_target_matches_set_oracle_over_hop_sets(case):
+    adj, known, hops = case
+    v = NeighborView(owner=0, one_hop=from_ids(adj[0]),
+                     neigh_of={u: from_ids(adj[u]) for u in known})
+    one_hop, neigh_of = _view_as_sets(v)
+    assert set(members(cover_target(v, from_ids(hops)))) == multiprev_target_sets(0, one_hop, neigh_of, hops)
+    for u in hops:
+        assert set(members(cover_target(v, bit(u)))) == pdp_target_sets(0, one_hop, neigh_of, u)
 
 
 def test_multiprev_target_never_exceeds_pdp_target():

@@ -4,9 +4,12 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
+from array import array
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 import nobcr
@@ -27,6 +30,8 @@ from nobcr.harness import (
 )
 from nobcr.metrics import SUMMARY_COLUMNS
 from nobcr.presets import PRESETS
+
+from oracles import write_pooled_delay_cdfs
 
 TINY = {
     "n_nodes": 5,
@@ -115,11 +120,38 @@ class TestRunTasks:
         assert strip(serial) == strip(parallel)
         assert [r["_delays"] for r in serial] == [r["_delays"] for r in parallel]
 
+    @pytest.mark.parametrize(
+        "jobs, n_tasks, workers", [(8, 3, 3), (2, 5, 2), (3, 3, 3), (1, 3, 1), (4, 1, 1), (0, 2, 1)]
+    )
+    def test_pool_starts_no_more_workers_than_tasks(self, monkeypatch, jobs, n_tasks, workers):
+        import concurrent.futures
+
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        rows = run_tasks([tiny_task(seed=s) for s in range(1, n_tasks + 1)], jobs=jobs)
+        # one worker runs the tasks in this process, with no pool
+        assert started == ([workers] if workers > 1 else [])
+        assert [r["seed"] for r in rows] == list(range(1, n_tasks + 1))
+
     def test_run_one_row_shape(self):
         row = run_one(tiny_task())
         for column in ("experiment", "variant", "sweep", "seed", *SUMMARY_COLUMNS):
             assert column in row
-        assert isinstance(row["_delays"], list)
+        assert isinstance(row["_delays"], array) and row["_delays"].typecode == "d"
         assert row["generated"] > 0
 
 
@@ -173,19 +205,31 @@ class TestTQuantile:
             t_quantile(q, df)
 
 
-def test_importing_the_package_loads_no_numeric_library():
-    # scipy.stats alone took ~1.4 s and ~78 MB of every fresh process; the
-    # runtime needs neither it nor numpy
+def _loaded_by_import(roots: tuple[str, ...]) -> str:
+    """The modules under ``roots`` that a fresh interpreter holds after
+    importing ``nobcr``, ``nobcr.harness`` and ``nobcr.cli``."""
     src = Path(nobcr.__file__).resolve().parents[1]
     code = (
-        "import nobcr.cli, nobcr.harness, sys; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')))"
+        "import nobcr, nobcr.harness, nobcr.cli, sys; "
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] in {roots!r}))"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_importing_the_package_loads_no_numeric_library():
+    # scipy.stats alone took ~1.4 s and ~78 MB of every fresh process; the
+    # runtime needs neither it nor numpy
+    assert _loaded_by_import(("scipy", "numpy")) == "[]"
+
+
+def test_importing_the_package_loads_no_process_pool():
+    # concurrent.futures.process costs ~2.5 MB and 12-20 ms; only a sweep
+    # fanned out over several workers uses it
+    assert _loaded_by_import(("concurrent", "multiprocessing")) == "[]"
 
 
 def synth_row(variant, sweep, seed, **metrics):
@@ -294,6 +338,38 @@ class TestDelayCdfs:
         cdf = [p[1] for p in points]
         assert delays == sorted(delays)
         assert cdf == sorted(cdf)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["a", "b"]),
+                st.sampled_from(["1", "10"]),
+                st.sampled_from(["list", "array", "empty", "absent"]),
+                st.integers(0, 1500),
+                st.integers(0, 2**32),
+            ),
+            max_size=6,
+        )
+    )
+    @example([("a", "1", "list", 700, 1), ("a", "1", "array", 400, 2), ("a", "1", "empty", 0, 3)])
+    def test_cdf_files_equal_the_pooled_sort(self, specs):
+        rows = []
+        for seed, (variant, sweep, kind, n, stream) in enumerate(specs):
+            rng = random.Random(stream)
+            # few decimals on some rows, so that equal delays meet across rows
+            delays = [round(rng.expovariate(20.0), rng.choice([2, 4, 12])) for _ in range(n)]
+            row = synth_row(variant, sweep, seed)
+            if kind != "absent":
+                row["_delays"] = array("d", delays) if kind == "array" else [] if kind == "empty" else delays
+            rows.append(row)
+        with tempfile.TemporaryDirectory() as got, tempfile.TemporaryDirectory() as want:
+            write_delay_cdfs(rows, Path(got))
+            write_pooled_delay_cdfs(rows, Path(want))
+            names = sorted(p.name for p in Path(want).iterdir())
+            assert sorted(p.name for p in Path(got).iterdir()) == names
+            for name in names:
+                assert (Path(got) / name).read_bytes() == (Path(want) / name).read_bytes()
 
     def test_large_sample_is_thinned(self, tmp_path):
         row = synth_row("a", "9", 1)
