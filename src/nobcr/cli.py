@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 from . import harness
-from .config import ConfigError, ScenarioConfig
+from .config import ConfigError, ScenarioConfig, parse_kv_file
 from .metrics import Metrics
 from .presets import PRESETS, VARIANTS, ExperimentSpec
 from .scenario import ScriptError, load_script, run_scenario
@@ -35,18 +35,24 @@ def parse_sets(pairs: list[str]) -> dict:
 
 def file_spec(path: Path) -> ExperimentSpec:
     """A config file as a one-point experiment: sweep ``-``, variant nobcr,
-    the file's own seed."""
-    base = ScenarioConfig.from_file(path)
+    the keys the file sets, and the file's seed (default 1) as its seed list.
+
+    Only the keys the file sets are passed on, so a default the file leaves
+    alone never clashes with a variant's settings.
+    """
+    own = parse_kv_file(path)
+    seed = ScenarioConfig.from_mapping(own).seed  # validate the file on its own
+    own.pop("seed", None)
     point = (("-", {}),)
     return ExperimentSpec(
         name=path.stem,
-        base=base.to_mapping(),
+        base=own,
         desk={},
         sweep=point,
         desk_sweep=point,
         variants=("nobcr",),
-        seeds=(base.seed,),
-        desk_seeds=(base.seed,),
+        seeds=(seed,),
+        desk_seeds=(seed,),
     )
 
 
@@ -64,7 +70,7 @@ def cmd_run(args) -> int:
             return 2
         spec = file_spec(path)
         stem = path.stem
-    rows = harness.run_experiment(
+    rows, aggs = harness.run_experiment(
         spec,
         stem,
         desk=args.desk,
@@ -75,7 +81,7 @@ def cmd_run(args) -> int:
         overrides=overrides or None,
     )
     print(f"{spec.name}: {len(rows)} runs written to {args.out}/")
-    for agg in harness.aggregate(rows):
+    for agg in aggs:
         print(
             f"  {agg['variant']:<12s} sweep={agg['sweep']:<6s} "
             f"delivery={agg['delivery_ratio_mean']:.3f} "
@@ -136,8 +142,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("target", help=f"preset ({', '.join(sorted(PRESETS))}) or config file")
     run.add_argument("--desk", action="store_true", help="small fast profile")
     run.add_argument("--seeds", help="seed list: 1..10 or 1,2,5")
-    run.add_argument("--variant", action="append", help=f"one of {', '.join(sorted(VARIANTS))}")
-    run.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
+    run.add_argument("--variant", action="append", help=f"one of {', '.join(sorted(VARIANTS))}; "
+                     "it fixes its protocol fields, and a config that sets one otherwise is an error")
+    run.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                     help="override a field of the preset, its sweep point or the config file; "
+                     "not seed (use --seeds), nor a field the variant fixes, to another value")
     run.add_argument("--out", default="results")
     run.add_argument("--jobs", type=int, default=1)
     run.set_defaults(func=cmd_run)

@@ -156,10 +156,6 @@ class ScenarioConfig:
         except TypeError as exc:  # missing required keys
             raise ConfigError(str(exc)) from None
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ScenarioConfig":
-        return cls.from_mapping(parse_kv_file(path))
-
 
 _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
                "false": False, "no": False, "off": False, "0": False}

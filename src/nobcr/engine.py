@@ -23,7 +23,7 @@ from collections import deque
 from typing import Callable, Iterable, Sequence
 
 from .coding import OutEntry, PoolEntry
-from .config import ScenarioConfig
+from .config import ConfigError, ScenarioConfig
 from .metrics import Metrics, SimLog
 from .model import Packet, PacketId, members
 from .node import Node
@@ -109,7 +109,9 @@ class Radio:
     sender's static neighbours, or every node within ``tx_range`` of the
     sender at the start instant under mobility.  With ``collisions`` on, a
     reception is lost when another broadcast heard by the same receiver
-    strictly overlaps it in time.
+    strictly overlaps it in time.  A given ``adjacency`` or ``positions``
+    is a static topology, so either one with ``speed_max > 0`` is a
+    ``ConfigError``.
 
     Under mobility a broadcast pays for the nodes near its sender, not for
     every node.  The radio keeps an anchor: a time ``T_a`` and every
@@ -149,6 +151,11 @@ class Radio:
         adjacency: Sequence[int] | None = None,
         positions: Sequence[tuple[float, float]] | None = None,
     ):
+        if config.speed_max > 0 and (adjacency is not None or positions is not None):
+            raise ConfigError(
+                "a fixed topology (adjacency or positions) needs a static run, "
+                f"but speed_max = {config.speed_max}"
+            )
         self.config = config
         n = config.n_nodes
         seed = config.seed

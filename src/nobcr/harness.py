@@ -9,7 +9,7 @@ from functools import cache
 from itertools import islice
 from pathlib import Path
 
-from .config import ScenarioConfig
+from .config import ConfigError, ScenarioConfig
 from .engine import Simulation
 from .metrics import SUMMARY_COLUMNS
 from .presets import VARIANTS, ExperimentSpec
@@ -21,11 +21,13 @@ _KEY_COLUMNS = ["experiment", "variant", "sweep", "seed"]
 
 
 def run_one(task: dict) -> dict:
-    """One (variant, sweep point, seed) simulation; must stay picklable."""
-    config = ScenarioConfig.from_mapping(task["config"])
-    config = VARIANTS[task["variant"]].apply(config)
-    config = config.replace(seed=task["seed"])
-    metrics = Simulation(config).run()
+    """One (variant, sweep point, seed) simulation; must stay picklable.
+
+    ``task["config"]`` is the whole run as ``build_tasks`` resolved it, variant
+    settings and seed included, so it is run as it stands; ``variant`` and
+    ``seed`` only label the row.
+    """
+    metrics = Simulation(ScenarioConfig.from_mapping(task["config"])).run()
     row = {
         "experiment": task["experiment"],
         "variant": task["variant"],
@@ -44,6 +46,17 @@ def build_tasks(
     variants=None,
     overrides: dict | None = None,
 ) -> list[dict]:
+    """Every (sweep point, variant, seed) run of ``spec``, each with its whole
+    config: the only place where a run's config is put together.
+
+    A task's ``config`` merges, in this order, the profile base, the sweep
+    point, ``overrides`` (``--set``, or a config file's own keys), the
+    variant's settings and ``seed``.  No user value is dropped without a
+    word: a ``ConfigError`` is raised before any run when the merged point
+    sets a field that a variant fixes to another value (compared as parsed,
+    so ``"0.40"`` equals ``0.4``), or sets ``seed``, which comes from
+    ``seeds`` alone.
+    """
     base, sweep, default_seeds = spec.profile(desk)
     seeds = list(default_seeds if seeds is None else seeds)
     names = list(variants) if variants else list(spec.variants)
@@ -52,9 +65,19 @@ def build_tasks(
         raise ValueError(f"unknown variants: {unknown}")
     tasks = []
     for label, changes in sweep:
-        cfg = {**base, **changes, **(overrides or {})}
-        ScenarioConfig.from_mapping(cfg)  # fail fast on bad keys
+        point = {**base, **changes, **(overrides or {})}
+        if "seed" in point:
+            raise ConfigError("seed cannot be set in the config: seeds come from --seeds")
+        given = ScenarioConfig.from_mapping(point)  # fail fast on bad keys
         for name in names:
+            settings = VARIANTS[name].settings
+            run = ScenarioConfig.from_mapping({**point, **settings})
+            for key, fixed in settings.items():
+                if key in point and getattr(given, key) != getattr(run, key):
+                    raise ConfigError(
+                        f"{spec.name} sweep {label}: variant {name} fixes {key} = {fixed}, "
+                        f"but the config sets {key} = {point[key]}"
+                    )
             for seed in seeds:
                 tasks.append(
                     {
@@ -62,7 +85,7 @@ def build_tasks(
                         "variant": name,
                         "sweep": label,
                         "seed": seed,
-                        "config": cfg,
+                        "config": {**point, **settings, "seed": seed},
                     }
                 )
     return tasks
@@ -226,13 +249,16 @@ def write_delay_cdfs(rows: list[dict], out_dir: Path) -> None:
         _write_csv(path, "#schema=nobcr-delay-cdf-1", ["delay", "cdf"], points)
 
 
-def write_outputs(rows: list[dict], out_dir: str | Path, stem: str) -> None:
-    """Write ``<stem>_raw.csv``, ``<stem>_agg.csv`` and the delay CDFs."""
+def write_outputs(rows: list[dict], out_dir: str | Path, stem: str) -> list[dict]:
+    """Write ``<stem>_raw.csv``, ``<stem>_agg.csv`` and the delay CDFs; return
+    the aggregate rows written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_raw_csv(rows, out / f"{stem}_raw.csv")
-    write_agg_csv(aggregate(rows), out / f"{stem}_agg.csv")
+    aggs = aggregate(rows)
+    write_agg_csv(aggs, out / f"{stem}_agg.csv")
     write_delay_cdfs(rows, out)
+    return aggs
 
 
 def run_experiment(
@@ -244,12 +270,12 @@ def run_experiment(
     out_dir: str | Path = "results",
     jobs: int = 1,
     overrides: dict | None = None,
-) -> list[dict]:
-    """Run every task of ``spec`` and write its outputs under ``stem``."""
+) -> tuple[list[dict], list[dict]]:
+    """Run every task of ``spec`` and write its outputs under ``stem``; return
+    the raw and the aggregate rows written."""
     tasks = build_tasks(spec, desk, seeds=seeds, variants=variants, overrides=overrides)
     rows = run_tasks(tasks, jobs=jobs)
-    write_outputs(rows, out_dir, stem)
-    return rows
+    return rows, write_outputs(rows, out_dir, stem)
 
 
 def read_rows(path: str | Path) -> list[dict]:

@@ -15,7 +15,12 @@ from .config import ScenarioConfig
 class VariantSpec:
     """A protocol variant: a name and the config fields it fixes.  Fields it
     leaves out (``rad_max`` for the delay-tolerant baselines) keep the
-    scenario's value."""
+    scenario's value.
+
+    ``harness.build_tasks`` lays ``settings`` over the scenario's profile,
+    sweep point and overrides, and rejects a scenario that sets a fixed
+    field to another value, so a variant never silently overrules a value
+    the user gave."""
 
     name: str
     settings: dict[str, Any]

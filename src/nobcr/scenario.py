@@ -92,8 +92,6 @@ def load_script(path: str | Path) -> Scenario:
                 raise ScriptError(f"positions are [x, y] pairs, got {pt!r}")
             positions.append((_number(pt[0], "position x"), _number(pt[1], "position y")))
     elif "adjacency" in raw:
-        if config.speed_max > 0:
-            raise ScriptError("explicit adjacency requires a static scenario")
         adjacency = [0] * n
         for edge in _list(raw["adjacency"], "adjacency"):
             if not isinstance(edge, list) or len(edge) != 2:

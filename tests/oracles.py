@@ -181,6 +181,17 @@ def write_pooled_delay_cdfs(rows: list[dict], out_dir: Path) -> None:
                 writer.writerow([f"{v:.6g}" if isinstance(v, float) else str(v) for v in point])
 
 
+def layered_config(base: dict, changes: dict, overrides: dict, variant: str, seed: int):
+    """A run's config built layer by layer: the profile base, the sweep point
+    and the overrides parsed as one mapping, then the variant's fields laid
+    over it with ``VariantSpec.apply``, then the seed."""
+    from nobcr.config import ScenarioConfig
+    from nobcr.presets import VARIANTS
+
+    config = ScenarioConfig.from_mapping({**base, **changes, **overrides})
+    return VARIANTS[variant].apply(config).replace(seed=seed)
+
+
 # --------------------------------------------------------------------------
 # Cover targets and set cover, on plain sets
 # --------------------------------------------------------------------------

@@ -107,6 +107,57 @@ class TestRunCommand:
         assert not list(tmp_path.iterdir())
         assert build_tasks(PRESETS["storage"], desk=True, seeds=[]) == []
 
+    @pytest.mark.parametrize(
+        "target, extra, variant, key",
+        [
+            ("dense-sources", ["--variant", "nobcr", "--set", "rad_max=0.1"], "nobcr", "rad_max"),
+            ("dense-sources", ["--variant", "nobcr", "--set", "coding=table"], "nobcr", "coding"),
+            # every RAD point of the sweep would run at nobcr's 0.4
+            ("rad-sweep", ["--variant", "nobcr"], "nobcr", "rad_max"),
+            ("dense-sources", ["--variant", "codeb", "--set", "pool_lifetime=0.3"], "codeb",
+             "pool_lifetime"),
+        ],
+    )
+    def test_value_a_variant_fixes_otherwise_exits_2(
+        self, tmp_path, capsys, target, extra, variant, key
+    ):
+        out = tmp_path / "out"
+        rc = main(["run", target, "--desk", "--seeds", "1", *extra, "--out", str(out)])
+        assert rc == 2
+        assert f"variant {variant} fixes {key} = " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_value_a_variant_fixes_otherwise_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "mine.cfg"
+        cfg.write_text(
+            "n_nodes = 8\narea_side = 400\nsim_duration = 5\nn_sources = 2\n"
+            "rad_max = 0.05\ncoding = table\n"
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "variant nobcr fixes rad_max = 0.4, but the config sets rad_max = 0.05" in err
+        assert not out.exists()
+
+    def test_set_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["run", "dense-sources", "--desk", "--set", "seed=9", "--out", str(out)])
+        assert rc == 2
+        assert "seeds come from --seeds" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_value_equal_to_the_variant_runs(self, tmp_path):
+        body = "n_nodes = 8\narea_side = 400\nsim_duration = 5\nn_sources = 2\n"
+        raws = []
+        for name, extra in [("plain", ""), ("equal", "termination = mcu\nrad_max = 0.40\n")]:
+            (tmp_path / name).mkdir()
+            cfg = tmp_path / name / "mine.cfg"
+            cfg.write_text(body + extra)
+            out = tmp_path / name / "out"
+            assert main(["run", str(cfg), "--set", "coding=Lightweight", "--out", str(out)]) == 0
+            raws.append((out / "mine_raw.csv").read_bytes())
+        assert raws[0] == raws[1]
+
     def test_malformed_set_exits_2(self, tmp_path, capsys):
         rc = main(["run", "storage", "--desk", "--set", "oops", "--out", str(tmp_path)])
         assert rc == 2
@@ -135,6 +186,18 @@ class TestScriptCommand:
         )
         assert rc == 0
         assert "PacketId(source=0, sn=1): [1, 2, 3, 4]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["sequence_gap.json", "gratis_rule.json"])
+    def test_fixed_topology_under_mobility_exits_2(self, capsys, name):
+        # sequence_gap gives positions, gratis_rule an adjacency
+        rc = main(
+            ["script", str(script_dir() / name), "--quiet", "--set", "hello_enabled=on",
+             "--set", "speed_min=1", "--set", "speed_max=5"]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "fixed topology (adjacency or positions) needs a static run" in captured.err
+        assert captured.out == ""
 
     def test_invalid_script_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 import nobcr
-from nobcr.config import ConfigError
+from nobcr.config import ConfigError, ScenarioConfig
 from nobcr.harness import (
     RAW_SCHEMA,
     aggregate,
@@ -29,9 +29,9 @@ from nobcr.harness import (
     write_raw_csv,
 )
 from nobcr.metrics import SUMMARY_COLUMNS
-from nobcr.presets import PRESETS
+from nobcr.presets import PRESETS, VARIANTS
 
-from oracles import write_pooled_delay_cdfs
+from oracles import layered_config, write_pooled_delay_cdfs
 
 TINY = {
     "n_nodes": 5,
@@ -47,12 +47,13 @@ TINY = {
 
 
 def tiny_task(variant="nobcr", sweep="-", seed=1, experiment="tiny"):
+    """A task as ``build_tasks`` makes one: its config is the whole run."""
     return {
         "experiment": experiment,
         "variant": variant,
         "sweep": sweep,
         "seed": seed,
-        "config": dict(TINY),
+        "config": {**TINY, **VARIANTS[variant].settings, "seed": seed},
     }
 
 
@@ -88,6 +89,116 @@ class TestBuildTasks:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="unknown variants"):
             build_tasks(PRESETS["storage"], desk=True, variants=["nobcr", "bogus"])
+
+
+def _assert_layered(spec, desk, overrides, seeds=(1, 2)):
+    """Each task's config, run as it stands, is the layered resolution."""
+    base, sweep, _ = spec.profile(desk)
+    changes = dict(sweep)
+    tasks = build_tasks(spec, desk, seeds=list(seeds), overrides=overrides)
+    assert len(tasks) == len(sweep) * len(spec.variants) * len(seeds)
+    for task in tasks:
+        expected = layered_config(
+            base, changes[task["sweep"]], overrides, task["variant"], task["seed"]
+        )
+        assert ScenarioConfig.from_mapping(task["config"]) == expected, task
+
+
+# fields no variant fixes, with values that keep every preset's config valid
+FREE_FIELDS = {
+    "tx_range": st.floats(50, 500),
+    "mac_jitter": st.floats(0, 0.1),
+    "pkt_size": st.integers(1, 2048),
+    "pkt_rate": st.floats(0.1, 8),
+    "collisions": st.booleans(),
+    "traffic_delay": st.floats(0, 5),
+    "hello_interval": st.floats(0.1, 3),
+    "mcu_window": st.integers(1, 128),
+    "table_expiry": st.floats(0.05, 10),
+    "sim_duration": st.floats(1, 400),
+    "mobility_warmup": st.floats(0, 200),
+    "gratis_rule_off": st.booleans(),
+    "sample_storage": st.booleans(),
+}
+
+
+class TestResolution:
+    """``build_tasks`` is the one place a run's config is put together."""
+
+    @pytest.mark.parametrize("desk", [False, True], ids=["full", "desk"])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_task_config_is_the_layered_resolution(self, preset, desk):
+        _assert_layered(PRESETS[preset], desk, {})
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        preset=st.sampled_from(sorted(PRESETS)),
+        desk=st.booleans(),
+        overrides=st.fixed_dictionaries(
+            {},
+            optional={
+                key: st.one_of(values, values.map(str))  # str: as ``--set`` gives it
+                for key, values in FREE_FIELDS.items()
+            },
+        ),
+    )
+    def test_overrides_of_free_fields_resolve_as_layers(self, preset, desk, overrides):
+        _assert_layered(PRESETS[preset], desk, overrides, seeds=(1,))
+
+    def test_only_rad_sweep_points_clash_with_a_variant(self):
+        clashes = []
+        for preset, spec in sorted(PRESETS.items()):
+            for desk in (False, True):
+                for variant in VARIANTS:
+                    try:
+                        build_tasks(spec, desk, seeds=[1], variants=[variant])
+                    except ConfigError:
+                        clashes.append((preset, variant))
+        fixing = sorted(v for v, spec in VARIANTS.items() if "rad_max" in spec.settings)
+        assert len(fixing) == 7
+        # each profile of rad-sweep sweeps rad_max
+        assert sorted(clashes) == sorted([("rad-sweep", v) for v in fixing] * 2)
+        assert not set(fixing) & set(PRESETS["rad-sweep"].variants)
+
+    @pytest.mark.parametrize(
+        "overrides, variant, key, fixed, given",
+        [
+            ({"rad_max": "0.1"}, "nobcr", "rad_max", "0.4", "0.1"),
+            ({"coding": "table"}, "nobcr", "coding", "lightweight", "table"),
+            ({"pool_lifetime": 0.3}, "codeb", "pool_lifetime", "5.0", "0.3"),
+            ({"coded_redundancy": "on"}, "pdp-cu", "coded_redundancy", "False", "on"),
+        ],
+    )
+    def test_a_value_the_variant_fixes_otherwise_is_rejected(
+        self, overrides, variant, key, fixed, given
+    ):
+        with pytest.raises(ConfigError) as err:
+            build_tasks(PRESETS["dense-sources"], True, seeds=[1], variants=[variant],
+                        overrides=overrides)
+        message = str(err.value)
+        assert f"variant {variant} fixes {key} = {fixed}" in message
+        assert f"sets {key} = {given}" in message
+
+    def test_equal_values_pass_as_parsed(self):
+        overrides = {"rad_max": "0.40", "termination": "MCU", "coded_redundancy": "yes"}
+        tasks = build_tasks(PRESETS["dense-sources"], True, seeds=[1], variants=["nobcr"],
+                            overrides=overrides)
+        base, sweep, _ = PRESETS["dense-sources"].profile(True)
+        assert [ScenarioConfig.from_mapping(t["config"]) for t in tasks] == [
+            layered_config(base, changes, overrides, "nobcr", 1) for _, changes in sweep
+        ]
+
+    def test_a_seed_in_the_config_is_rejected(self):
+        with pytest.raises(ConfigError, match="seeds come from --seeds"):
+            build_tasks(PRESETS["storage"], True, overrides={"seed": 9})
+
+    def test_run_one_runs_the_task_config_as_it_stands(self):
+        # the labels do not re-resolve the run: a config resolved for pdp-cu
+        # and seed 2 runs as such whatever the labels say
+        task = tiny_task(variant="pdp-cu", seed=2)
+        relabelled = {**task, "variant": "nobcr", "seed": 1}
+        strip = lambda row: {k: v for k, v in row.items() if k not in ("variant", "seed")}
+        assert strip(run_one(relabelled)) == strip(run_one(task))
 
 
 class TestRunTasks:

@@ -7,12 +7,15 @@ compared with the digests recorded before the refactors they guard.  Those
 runs never get past sequence number 64, so they never wrap the MC/U window; a
 second pin (``SMALL_WINDOW``) runs the MC/U variants with a 4-packet window
 long enough to wrap it many times.  Both keep reception-table marks for 5 s
-and pool entries for 2 s, far longer than one flood lasts, so a third pin
-(``SHORT_EXPIRY``) runs the pool and table users (table coding and M/U) with
-expiries of a few hundred milliseconds, where entries lapse mid-flood.  None of those samples
-detector storage, so a fourth pin (``STORAGE``) runs the storage desk, whose
-periodic samples read ``ReceptionTable.item_count`` and the lightweight
-pool's item count into the storage columns.
+and pool entries for 2 s (5 s under ``codeb``), far longer than one flood
+lasts, so a third pin (``SHORT_EXPIRY``) runs the pool and table users (table
+coding and M/U) with expiries of a few hundred milliseconds, where entries
+lapse mid-flood.  ``codeb`` fixes its pool lifetime, so its own pin
+(``SHORT_EXPIRY_CODEB``) shortens only the table expiry: its pool entries
+live 5 s.  None of those samples detector storage, so a last pin
+(``STORAGE``) runs the storage desk, whose periodic samples read
+``ReceptionTable.item_count`` and the lightweight pool's item count into the
+storage columns.
 
 A refactor or a speed-up must leave every digest alone.  An intended change
 of behaviour re-records only the rows of the variants it changes, and says
@@ -50,10 +53,12 @@ SMALL_WINDOW_ROWS = [
     ("dense-sources", "pdp-mcu", "4c4ef688bf1254a829f97d8bad30521d307951b0131503d44616cc48d3657774"),
 ]
 SHORT_EXPIRY_ROWS = [
-    ("dense-sources", "codeb", "d1c9a22fd1f9f77b26b054298f474e858eec11cf915caa7c8f79d50990c07744"),
     ("dense-sources", "nobcr", "c2c01ea0a7f2b8924404a45049bb8c17a646d808f29fbaad2200a3c3a402925d"),
     ("dense-sources", "nobcr-table", "0907e107d409ec293e80e90bee8e834bb9470c51e96e54107a8f4dbde7064088"),
     ("dense-sources", "pdp-mu", "ea4e8b630d74dc47ad9204dc211d82ac6514e9dc007226a3944f1e73d2701d53"),
+]
+SHORT_EXPIRY_CODEB_ROWS = [
+    ("dense-sources", "codeb", "d1c9a22fd1f9f77b26b054298f474e858eec11cf915caa7c8f79d50990c07744"),
 ]
 STORAGE_ROWS = [
     ("storage", "codeb", "0715655dd668b1496db3244c3c69594e3bbe111b17b2fb2a5e4085d45e03908f"),
@@ -67,10 +72,12 @@ CASES = [
 ]
 SMALL_WINDOW_CASES = [("dense-sources", "10", ("nobcr", "nobcr-table", "pdp-mcu"))]
 SMALL_WINDOW = {"mcu_window": 4, "pkt_rate": 4, "sim_duration": 20}
-SHORT_EXPIRY_CASES = [("dense-sources", "10", ("nobcr", "nobcr-table", "codeb", "pdp-mu"))]
+SHORT_EXPIRY_CASES = [("dense-sources", "10", ("nobcr", "nobcr-table", "pdp-mu"))]
 SHORT_EXPIRY = {
     "sim_duration": 10, "pool_lifetime": 0.3, "table_expiry": 0.3,
 }
+SHORT_EXPIRY_CODEB_CASES = [("dense-sources", "10", ("codeb",))]
+SHORT_EXPIRY_CODEB = {"sim_duration": 10, "table_expiry": 0.3}
 STORAGE_CASES = [("storage", "10", ("nobcr", "nobcr-table", "codeb"))]
 
 # name of the recorded rows: (cases, overrides, rows), one entry per pin
@@ -78,6 +85,9 @@ PINS = {
     "RAW_ROWS": (CASES, {"sim_duration": 10}, RAW_ROWS),
     "SMALL_WINDOW_ROWS": (SMALL_WINDOW_CASES, SMALL_WINDOW, SMALL_WINDOW_ROWS),
     "SHORT_EXPIRY_ROWS": (SHORT_EXPIRY_CASES, SHORT_EXPIRY, SHORT_EXPIRY_ROWS),
+    "SHORT_EXPIRY_CODEB_ROWS": (
+        SHORT_EXPIRY_CODEB_CASES, SHORT_EXPIRY_CODEB, SHORT_EXPIRY_CODEB_ROWS,
+    ),
     "STORAGE_ROWS": (STORAGE_CASES, {"sim_duration": 12}, STORAGE_ROWS),
 }
 
@@ -121,6 +131,10 @@ def test_small_window_raw_csv_digest_is_pinned(tmp_path):
 
 def test_short_expiry_raw_csv_digest_is_pinned(tmp_path):
     _check(*PINS["SHORT_EXPIRY_ROWS"], tmp_path / "pin_raw.csv")
+
+
+def test_short_expiry_codeb_raw_csv_digest_is_pinned(tmp_path):
+    _check(*PINS["SHORT_EXPIRY_CODEB_ROWS"], tmp_path / "pin_raw.csv")
 
 
 def test_storage_raw_csv_digest_is_pinned(tmp_path):

@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from nobcr.config import ConfigError
 from nobcr.scenario import ScriptError, load_script, run_scenario, script_dir
 
 
@@ -33,6 +34,18 @@ MINIMAL = {
     "positions": [[0, 0], [100, 0], [200, 0]],
     "injections": [{"time": 0.1, "source": 0, "sn": 1}],
 }
+
+
+def _assert_static_only(tmp_path, body):
+    """A script's fixed topology with moving nodes is rejected when its run is
+    built, whether the speeds come from the script or from the run's overrides."""
+    static = load_script(_write(tmp_path, body))
+    mobile = {"hello_enabled": True, "speed_min": 1.0, "speed_max": 5.0}  # moving nodes need hellos
+    body["config"].update(mobile)
+    moving = load_script(_write(tmp_path, body))
+    for scenario, overrides in [(static, mobile), (moving, {})]:
+        with pytest.raises(ConfigError, match="needs a static run, but speed_max = 5.0"):
+            run_scenario(scenario, **overrides)
 
 
 class TestSequenceGapScript:
@@ -197,12 +210,12 @@ class TestLoadScript:
     def test_adjacency_requires_static_nodes(self, tmp_path):
         body = json.loads(json.dumps(MINIMAL))
         body.pop("positions")
-        body["adjacency"] = [[0, 1]]
-        body["config"]["speed_min"] = 1.0
-        body["config"]["speed_max"] = 2.0
-        body["config"]["hello_enabled"] = True  # moving nodes need hellos
-        with pytest.raises(ScriptError, match="static"):
-            load_script(_write(tmp_path, body))
+        body["adjacency"] = [[0, 1], [1, 2]]
+        _assert_static_only(tmp_path, body)
+
+    def test_positions_require_static_nodes(self, tmp_path):
+        # run, the positions would give way to random waypoints
+        _assert_static_only(tmp_path, json.loads(json.dumps(MINIMAL)))
 
     def test_rejects_duplicate_rad_override(self, tmp_path):
         body = json.loads(json.dumps(MINIMAL))
