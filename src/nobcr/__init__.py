@@ -6,7 +6,7 @@ counter/mark based flooding baselines for comparison.
 """
 
 from .config import Coding, ConfigError, Pruning, ScenarioConfig, Termination
-from .engine import Simulation, run_config
+from .engine import Simulation
 from .metrics import Metrics, SimLog
 from .model import PacketId
 from .presets import PRESETS, VARIANTS
@@ -28,7 +28,6 @@ __all__ = [
     "Termination",
     "VARIANTS",
     "load_script",
-    "run_config",
     "run_scenario",
     "__version__",
 ]

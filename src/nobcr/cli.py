@@ -6,10 +6,10 @@ import sys
 from pathlib import Path
 
 from . import harness
-from .config import ConfigError, ScenarioConfig, parse_kv_file
+from .config import ConfigError, ScenarioConfig, parse_kv_file, parse_pairs
 from .metrics import Metrics
 from .presets import PRESETS, VARIANTS, ExperimentSpec
-from .scenario import ScriptError, load_script, run_scenario
+from .scenario import load_script, run_scenario
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -23,14 +23,8 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def parse_sets(pairs: list[str]) -> dict:
-    out = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError(f"--set expects key=value, got {pair!r}")
-        key, value = pair.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
+def parse_sets(pairs: list[str]) -> dict[str, str]:
+    return parse_pairs(("--set", pair) for pair in pairs)
 
 
 def file_spec(path: Path) -> ExperimentSpec:
@@ -107,13 +101,7 @@ def _print_script_result(metrics: Metrics, log, quiet: bool) -> None:
 
 
 def cmd_script(args) -> int:
-    scenario = load_script(args.file)
-    overrides = parse_sets(args.set)
-    if overrides:
-        scenario.config = ScenarioConfig.from_mapping(
-            {**scenario.config.to_mapping(), **overrides}
-        )
-    metrics, log = run_scenario(scenario)
+    metrics, log = run_scenario(load_script(args.file), **parse_sets(args.set))
     _print_script_result(metrics, log, args.quiet)
     return 0
 
@@ -145,15 +133,18 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--variant", action="append", help=f"one of {', '.join(sorted(VARIANTS))}; "
                      "it fixes its protocol fields, and a config that sets one otherwise is an error")
     run.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                     help="override a field of the preset, its sweep point or the config file; "
-                     "not seed (use --seeds), nor a field the variant fixes, to another value")
+                     help="override a field of the preset, its sweep point or the config file, "
+                     "parsed by the field's type; each key once, not seed (use --seeds), "
+                     "nor a field the variant fixes, to another value")
     run.add_argument("--out", default="results")
     run.add_argument("--jobs", type=int, default=1)
     run.set_defaults(func=cmd_run)
 
     script = sub.add_parser("script", help="run a scripted scenario and print its event log")
     script.add_argument("file")
-    script.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
+    script.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                        help="override a field of the script's config, parsed by the "
+                        "field's type; each key once")
     script.add_argument("--quiet", action="store_true", help="suppress the event log")
     script.set_defaults(func=cmd_script)
 
@@ -169,7 +160,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ScriptError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError and ScriptError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

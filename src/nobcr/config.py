@@ -1,10 +1,14 @@
 """Scenario configuration: validated parameters plus variant switches.
 
-Configs load from flat ``key = value`` text files (``#`` comments allowed).
-Unknown keys are an error rather than silently ignored, so typos in sweep
-scripts fail fast.  Each value is parsed by the type annotated on its
-``ScenarioConfig`` field (enum, bool, int, else float), so a new knob needs
-no parsing table.  A config is a frozen value, validated once when built.
+Configs load from flat ``key = value`` text (``#`` comments allowed); config
+files and ``--set`` pairs share that one parser, and a key given twice is an
+error.  A value becomes a field in one place, ``ScenarioConfig.__post_init__``:
+each is parsed by the type annotated on its field (enum, bool, int, else
+float), so the constructor, ``replace``, ``from_mapping`` and every override
+path built on them read ``"false"``, ``"0.1"`` or ``"mcu"`` alike, and a new
+knob needs no parsing table.  Unknown keys and values that do not parse (a
+float ``n_nodes``) are a ``ConfigError``, so typos fail fast.  A config is a
+frozen value, validated once when built.
 """
 from __future__ import annotations
 
@@ -12,7 +16,7 @@ import dataclasses
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Mapping, get_type_hints
+from typing import Any, Iterable, Mapping, get_type_hints
 
 
 class ConfigError(ValueError):
@@ -84,8 +88,10 @@ class ScenarioConfig:
     sample_storage: bool = False  # detector storage sampled every engine.SAMPLE_INTERVAL
 
     def __post_init__(self) -> None:
-        for key, enum_cls in _ENUM_HINTS.items():
-            object.__setattr__(self, key, _coerce(key, getattr(self, key), enum_cls))
+        for key, hint in _HINTS.items():
+            value = getattr(self, key)
+            if type(value) is not hint:  # a value of its annotated type is kept as is
+                object.__setattr__(self, key, _coerce(key, value, hint))
         self.validate()
 
     def validate(self) -> None:
@@ -129,30 +135,15 @@ class ScenarioConfig:
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
 
-    def replace(self, **changes: Any) -> "ScenarioConfig":
+    def replace(self, /, **changes: Any) -> "ScenarioConfig":
+        _check_keys(changes)
         return dataclasses.replace(self, **changes)
-
-    def to_mapping(self) -> dict[str, Any]:
-        out = dataclasses.asdict(self)
-        for key in _ENUM_HINTS:
-            out[key] = out[key].value
-        return out
-
-    @classmethod
-    def field_names(cls) -> set[str]:
-        return {f.name for f in dataclasses.fields(cls)}
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, Any]) -> "ScenarioConfig":
-        known = cls.field_names()
-        unknown = set(mapping) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs: dict[str, Any] = {}
-        for key, raw in mapping.items():
-            kwargs[key] = _coerce(key, raw, _HINTS[key])
+        _check_keys(mapping)
         try:
-            return cls(**kwargs)
+            return cls(**mapping)
         except TypeError as exc:  # missing required keys
             raise ConfigError(str(exc)) from None
 
@@ -162,27 +153,24 @@ _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
 
 # field name -> annotated type, resolved once (annotations are strings here)
 _HINTS: dict[str, type] = get_type_hints(ScenarioConfig)
-_ENUM_HINTS = {k: t for k, t in _HINTS.items() if issubclass(t, Enum)}
+
+
+def _check_keys(keys: Iterable[str]) -> None:
+    unknown = set(keys) - _HINTS.keys()
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
 
 def _coerce(key: str, raw: Any, hint: type) -> Any:
+    """``raw``, which is not of type ``hint``, parsed as that type."""
     if issubclass(hint, Enum):
-        if isinstance(raw, hint):
-            return raw
-        try:
-            return hint(str(raw).strip())
-        except ValueError:
-            # accept enum names case-insensitively ("MCU", "mcu", "Lightweight")
-            text = str(raw).strip()
-            for member in hint:
-                if text.lower() in (member.value.lower(), member.name.lower()):
-                    return member
-            raise ConfigError(
-                f"{key}: {raw!r} not one of {[m.value for m in hint]}"
-            ) from None
+        # values and names, case-insensitively ("MCU", "mcu", "Lightweight")
+        text = str(raw).strip().lower()
+        for member in hint:
+            if text in (member.value.lower(), member.name.lower()):
+                return member
+        raise ConfigError(f"{key}: {raw!r} not one of {[m.value for m in hint]}")
     if hint is bool:
-        if isinstance(raw, bool):
-            return raw
         word = str(raw).strip().lower()
         if word not in _BOOL_WORDS:
             raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
@@ -198,19 +186,27 @@ def _coerce(key: str, raw: Any, hint: type) -> Any:
         raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
 
 
-def parse_kv_file(path: str | Path) -> dict[str, str]:
-    """Parse a flat ``key = value`` file; ``#`` starts a comment."""
+def parse_pairs(items: Iterable[tuple[str, str]]) -> dict[str, str]:
+    """``key = value`` text as a mapping of stripped strings: the one parser
+    for config-file lines and ``--set`` pairs.  Each item is ``(where, text)``,
+    ``where`` naming the text in errors.  ``#`` starts a comment, blank text
+    is skipped, and a key given twice is an error."""
     mapping: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
+    for where, text in items:
+        stripped = text.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+            raise ConfigError(f"{where}: expected key=value, got {text!r}")
         key, value = stripped.split("=", 1)
         key = key.strip()
         if key in mapping:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+            raise ConfigError(f"{where}: duplicate key {key!r}")
         mapping[key] = value.strip()
     return mapping
+
+
+def parse_kv_file(path: str | Path) -> dict[str, str]:
+    """Parse a flat ``key = value`` file."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    return parse_pairs((f"{path}:{n}", line) for n, line in enumerate(lines, start=1))

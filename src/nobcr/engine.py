@@ -478,7 +478,3 @@ class Simulation:
         for node in self.nodes:
             node.flush_bank(duration)
         return self.metrics
-
-
-def run_config(config: ScenarioConfig) -> Metrics:
-    return Simulation(config).run()

@@ -54,8 +54,8 @@ def build_tasks(
     variant's settings and ``seed``.  No user value is dropped without a
     word: a ``ConfigError`` is raised before any run when the merged point
     sets a field that a variant fixes to another value (compared as parsed,
-    so ``"0.40"`` equals ``0.4``), or sets ``seed``, which comes from
-    ``seeds`` alone.
+    so ``"0.40"`` equals ``0.4``), sets ``seed``, which comes from ``seeds``
+    alone, or when a seed or a variant is named twice.
     """
     base, sweep, default_seeds = spec.profile(desk)
     seeds = list(default_seeds if seeds is None else seeds)
@@ -63,6 +63,10 @@ def build_tasks(
     unknown = [v for v in names if v not in VARIANTS]
     if unknown:
         raise ValueError(f"unknown variants: {unknown}")
+    for what, values in (("seeds", seeds), ("variants", names)):
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:  # one run counted twice would shrink every interval
+            raise ConfigError(f"repeated {what}: {repeated}")
     tasks = []
     for label, changes in sweep:
         point = {**base, **changes, **(overrides or {})}

@@ -158,11 +158,15 @@ class _RadTable:
         return seq[idx]
 
 
-def run_scenario(scenario: Scenario, **overrides) -> tuple[Metrics, SimLog]:
-    config = scenario.config.replace(**overrides) if overrides else scenario.config
+def run_scenario(scenario: Scenario, /, **overrides) -> tuple[Metrics, SimLog]:
+    """Run ``scenario`` with ``overrides`` laid over its config by
+    ``ScenarioConfig.replace``: the one override path for scripts.  Each value
+    is parsed by its field's type, so ``collisions="false"`` and
+    ``rad_max="0.1"`` read as ``False`` and ``0.1``; an unknown key or a value
+    that does not parse is a ``ConfigError``."""
     log = SimLog()
     sim = Simulation(
-        config,
+        scenario.config.replace(**overrides),
         adjacency=scenario.adjacency,
         positions=scenario.positions,
         injections=scenario.injections,

@@ -32,6 +32,11 @@ class TestParsers:
         with pytest.raises(ConfigError, match="key=value"):
             parse_sets(["oops"])
 
+    def test_sets_reject_a_repeated_key(self):
+        # the config-file parser, so the last value does not win without a word
+        with pytest.raises(ConfigError, match="--set: duplicate key 'a'"):
+            parse_sets(["a=1", " a = 2"])
+
 
 class TestRunCommand:
     def test_preset_desk_run(self, tmp_path, capsys):
@@ -158,6 +163,30 @@ class TestRunCommand:
             raws.append((out / "mine_raw.csv").read_bytes())
         assert raws[0] == raws[1]
 
+    @pytest.mark.parametrize(
+        "extra, repeat",
+        [
+            (["--seeds", "1,1", "--variant", "pdp-cu"], "repeated seeds: [1]"),
+            (["--seeds", "1", "--variant", "pdp-cu", "--variant", "pdp-cu"],
+             "repeated variants: ['pdp-cu']"),
+        ],
+        ids=["seed", "variant"],
+    )
+    def test_a_repeated_seed_or_variant_exits_2(self, tmp_path, capsys, extra, repeat):
+        # one run counted twice would read as two seeds with no spread
+        out = tmp_path / "out"
+        assert main(["run", "dense-sources", "--desk", *extra, "--out", str(out)]) == 2
+        assert repeat in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_repeated_set_key_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["run", "storage", "--desk", "--seeds", "1", "--set", "sim_duration=5",
+                   "--set", "sim_duration=6", "--out", str(out)])
+        assert rc == 2
+        assert "duplicate key 'sim_duration'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_set_exits_2(self, tmp_path, capsys):
         rc = main(["run", "storage", "--desk", "--set", "oops", "--out", str(tmp_path)])
         assert rc == 2
@@ -197,6 +226,21 @@ class TestScriptCommand:
         assert rc == 2
         captured = capsys.readouterr()
         assert "fixed topology (adjacency or positions) needs a static run" in captured.err
+        assert captured.out == ""
+
+    def test_unknown_set_key_exits_2(self, capsys):
+        rc = main(["script", str(script_dir() / "gratis_rule.json"), "--set", "bogus=1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "error: unknown config keys: ['bogus']" in captured.err
+        assert captured.out == ""
+
+    def test_a_repeated_set_key_exits_2(self, capsys):
+        rc = main(["script", str(script_dir() / "gratis_rule.json"), "--quiet",
+                   "--set", "collisions=on", "--set", "collisions=off"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "duplicate key 'collisions'" in captured.err
         assert captured.out == ""
 
     def test_invalid_script_exits_2(self, tmp_path, capsys):

@@ -1,16 +1,23 @@
-"""Config parsing: every value is coerced by its field's annotated type."""
+"""Config parsing: every value is coerced by its field's annotated type, on
+every path that builds a config."""
 import dataclasses
 import json
 import math
+from enum import Enum
+from typing import get_type_hints
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nobcr.config import Coding, ConfigError, Pruning, ScenarioConfig, Termination
 from nobcr.engine import Simulation, substream
 from nobcr.presets import VARIANTS
-from nobcr.scenario import ScriptError, load_script
+from nobcr.scenario import ScriptError, load_script, run_scenario
+
+from test_harness import FREE_FIELDS
 
 REQUIRED = {"n_nodes": "30", "area_side": "500", "sim_duration": "20", "n_sources": "3"}
+HINTS = get_type_hints(ScenarioConfig)
 
 
 def test_text_values_take_their_annotated_types():
@@ -27,13 +34,69 @@ def test_text_values_take_their_annotated_types():
     )
 
 
-def test_every_field_round_trips_through_to_mapping():
+def test_every_field_round_trips_through_its_text():
     cfg = ScenarioConfig.from_mapping({**REQUIRED, "termination": "ru", "gratis_rule_off": "1"})
-    mapping = cfg.to_mapping()
-    assert set(mapping) == {f.name for f in dataclasses.fields(ScenarioConfig)}
-    assert mapping["termination"] == "RU" and mapping["coding"] == "lightweight"
+    mapping = dataclasses.asdict(cfg)
+    assert mapping["termination"] is Termination.RU and mapping["coding"] is Coding.LIGHTWEIGHT
     assert ScenarioConfig.from_mapping(mapping) == cfg
-    assert ScenarioConfig.from_mapping({k: str(v) for k, v in mapping.items()}) == cfg
+    # an enum's text is its value, as a config file writes it
+    text = {k: v.value if isinstance(v, Enum) else str(v) for k, v in mapping.items()}
+    assert ScenarioConfig.from_mapping(text) == cfg
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    changes=st.fixed_dictionaries(
+        {},
+        optional={key: st.one_of(values, values.map(str)) for key, values in FREE_FIELDS.items()},
+    )
+)
+def test_every_path_parses_a_value_alike(changes):
+    built = ScenarioConfig(**{**REQUIRED, **changes})
+    assert built == ScenarioConfig.from_mapping({**REQUIRED, **changes})
+    assert built == ScenarioConfig.from_mapping(REQUIRED).replace(**changes)
+    assert all(type(getattr(built, key)) is hint for key, hint in HINTS.items())
+
+
+def _hidden_terminals(tmp_path):
+    """Nodes 0 and 2 reach node 1 but not each other, and send at once."""
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({
+        "config": {"n_nodes": 3, "area_side": 500, "sim_duration": 1.0, "n_sources": 2,
+                   "tx_range": 150, "mac_jitter": 0, "hello_enabled": False},
+        "positions": [[0, 0], [100, 0], [200, 0]],
+        "injections": [{"time": 0.1, "source": source, "sn": 1} for source in (0, 2)],
+    }))
+    return load_script(path)
+
+
+def test_text_false_reads_false_on_every_path(tmp_path):
+    base = ScenarioConfig(**REQUIRED)
+    assert ScenarioConfig(**REQUIRED, collisions="false").collisions is False
+    assert base.replace(collisions="false").collisions is False
+    assert base.replace(rad_max="0.1").rad_max == 0.1
+    scenario = _hidden_terminals(tmp_path)
+    assert run_scenario(scenario)[0].summary()["collision_losses"] == 2
+    assert run_scenario(scenario, collisions="false")[0].summary()["collision_losses"] == 0
+
+
+@pytest.mark.parametrize("n_nodes", [30.5, 30.0, "30.5"], ids=["float", "whole-float", "text"])
+def test_a_fractional_node_count_is_rejected_on_every_path(tmp_path, n_nodes):
+    paths = [
+        lambda: ScenarioConfig(**{**REQUIRED, "n_nodes": n_nodes}),
+        lambda: ScenarioConfig.from_mapping({**REQUIRED, "n_nodes": n_nodes}),
+        lambda: ScenarioConfig.from_mapping(REQUIRED).replace(n_nodes=n_nodes),
+        lambda: run_scenario(_hidden_terminals(tmp_path), n_nodes=n_nodes),
+    ]
+    for build in paths:
+        with pytest.raises(ConfigError, match="n_nodes: expected an integer"):
+            build()
+
+
+@pytest.mark.parametrize("key", ["bogus", "self"])
+def test_unknown_keys_are_rejected_by_replace(key):
+    with pytest.raises(ConfigError, match=f"unknown config keys: \\['{key}'\\]"):
+        ScenarioConfig.from_mapping(REQUIRED).replace(**{key: 1})
 
 
 @pytest.mark.parametrize(
@@ -81,7 +144,7 @@ def test_variants_fix_only_config_fields():
     base = ScenarioConfig.from_mapping(REQUIRED)
     for name, spec in VARIANTS.items():
         assert spec.name == name
-        assert spec.settings.keys() <= ScenarioConfig.field_names(), name
+        assert spec.settings.keys() <= HINTS.keys(), name
         # apply() sets those fields and leaves every other one alone
         applied = spec.apply(base)
         assert applied.replace(**{k: getattr(base, k) for k in spec.settings}) == base, name

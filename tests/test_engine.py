@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nobcr.config import Coding, ScenarioConfig, Termination
-from nobcr.engine import Radio, Simulation, Waypoint, run_config, substream
+from nobcr.engine import Radio, Simulation, Waypoint, substream
 from nobcr.metrics import SimLog
 from nobcr.model import bit, members
 
@@ -286,15 +286,15 @@ def full_featured_config(seed=3):
 
 
 def test_identical_runs_produce_identical_summaries():
-    first = run_config(full_featured_config()).summary()
-    second = run_config(full_featured_config()).summary()
+    first = Simulation(full_featured_config()).run().summary()
+    second = Simulation(full_featured_config()).run().summary()
     assert first == second
     assert first["generated"] > 0 and first["deliveries"] > 0
 
 
 def test_seed_changes_the_outcome():
-    a = run_config(full_featured_config(seed=3)).summary()
-    b = run_config(full_featured_config(seed=4)).summary()
+    a = Simulation(full_featured_config(seed=3)).run().summary()
+    b = Simulation(full_featured_config(seed=4)).run().summary()
     assert a != b
 
 
@@ -470,7 +470,7 @@ def test_recurring_traffic_respects_cutoff():
         hello_enabled=True,
         collisions=False,
     )
-    m = run_config(config)
+    m = Simulation(config).run()
     # each source starts within (3, 4] and repeats every 1 s through t=15
     assert m.generated == 3 * 12
 

@@ -24,7 +24,9 @@ experiment and variant, a failure names the runs that moved.
 
 ``PYTHONPATH=src python tests/test_output_pin.py`` prints every pin's current
 rows in the form of the literals below, marking each row that differs from
-the recorded one, so that re-recording is a copy of the marked lines.
+the recorded one, so that re-recording is a copy of the marked lines.  It
+exits 1 when the header or any row is marked, so a shell check can gate on
+it.
 """
 import hashlib
 
@@ -145,13 +147,17 @@ if __name__ == "__main__":
     import tempfile
     from pathlib import Path
 
+    differs = False
     with tempfile.TemporaryDirectory() as tmp:
         for name, (cases, overrides, recorded) in PINS.items():
             header, rows = _digests(_tasks(cases, overrides), Path(tmp) / "pin_raw.csv")
             if header != HEADER_SHA256:
+                differs = True
                 print(f"# HEADER_SHA256 differs: {header}")
             print(f"{name} = [")
             for row in rows:
-                mark = "" if row in recorded else "  # differs"
-                print('    ("{}", "{}", "{}"),{}'.format(*row, mark))
+                new = row not in recorded
+                differs |= new
+                print('    ("{}", "{}", "{}"),{}'.format(*row, "  # differs" if new else ""))
             print("]")
+    raise SystemExit(1 if differs else 0)
