@@ -23,6 +23,13 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def worker_count(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def parse_sets(pairs: list[str]) -> dict[str, str]:
     return parse_pairs(("--set", pair) for pair in pairs)
 
@@ -137,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
                      "parsed by the field's type; each key once, not seed (use --seeds), "
                      "nor a field the variant fixes, to another value")
     run.add_argument("--out", default="results")
-    run.add_argument("--jobs", type=int, default=1)
+    run.add_argument("--jobs", type=worker_count, default=1, help="worker processes, at least 1")
     run.set_defaults(func=cmd_run)
 
     script = sub.add_parser("script", help="run a scripted scenario and print its event log")

@@ -184,6 +184,7 @@ class Radio:
             margin = 1e-6 * config.area_side  # far above any rounding of a position
             self._sure2 = (config.tx_range - drift - margin) ** 2
             self._reach2 = (config.tx_range + drift + margin) ** 2
+            self._range2 = config.tx_range ** 2
             self._anchor_t = -math.inf
             self._anchor: list[tuple[float, float]] = []
             self._near: list[tuple[int, list[int], list[int]] | None] = []
@@ -228,7 +229,7 @@ class Radio:
             return sure_mask, sure_ids
         trajectories = self.trajectories
         xs, ys = trajectories[sender].position(t)
-        r2 = self.config.tx_range ** 2
+        r2 = self._range2
         mask = 0
         ids = []
         for j in candidates:
@@ -255,11 +256,13 @@ class Radio:
         sure_mask = 0
         sure_ids = []
         candidates = []
+        reach2, sure2 = self._reach2, self._sure2
         for j, (x, y) in enumerate(self._anchor):
-            d2 = (ax - x) ** 2 + (ay - y) ** 2
-            if d2 > self._reach2 or j == sender:
+            dx, dy = ax - x, ay - y
+            d2 = dx * dx + dy * dy
+            if d2 > reach2 or j == sender:
                 continue
-            if d2 <= self._sure2:
+            if d2 <= sure2:
                 sure_mask |= 1 << j
                 sure_ids.append(j)
             else:

@@ -14,6 +14,8 @@ from typing import NamedTuple
 from .config import Pruning
 from .model import NeighborView, NodeSet, members, two_hop_set
 
+_PDP = Pruning.PDP  # bound once: a read through the enum class is slow
+
 
 class CoverProblem(NamedTuple):
     universe: NodeSet
@@ -30,12 +32,18 @@ def cover_target(view: NeighborView, hops: NodeSet) -> NodeSet:
     U_i N(N(i) & N(v)) term is one ``union_of`` over (U_i N(i)) & N(v), since
     a union of neighbourhoods distributes over OR.
     """
+    return _target(view, hops)[1]
+
+
+def _target(view: NeighborView, hops: NodeSet) -> tuple[NodeSet, NodeSet]:
+    """The union U_i N(i) of the hops' advertised sets, and
+    :func:`cover_target` computed from it."""
     neigh_of = view.neigh_of
-    covered = 0
+    advertised = 0
     for i in members(hops):
-        covered |= neigh_of.get(i, 0)
-    covered |= view.union_of(covered & view.one_hop)
-    return two_hop_set(view) & ~view.one_hop & ~hops & ~covered
+        advertised |= neigh_of.get(i, 0)
+    covered = advertised | view.union_of(advertised & view.one_hop)
+    return advertised, two_hop_set(view) & ~view.one_hop & ~hops & ~covered
 
 
 def greedy_set_cover(problem: CoverProblem) -> tuple[NodeSet, NodeSet]:
@@ -69,13 +77,11 @@ def build_problem(view: NeighborView, hops: NodeSet, heard: NodeSet) -> CoverPro
     excluding every hop ``heard`` transmitting the packet, that cover some
     of the universe.
     """
-    universe = cover_target(view, hops)
+    advertised, universe = _target(view, hops)
     candidates = {}
     if universe:
         neigh_of = view.neigh_of
-        pool = view.one_hop & ~heard & ~(1 << view.owner)
-        for i in members(hops):
-            pool &= ~neigh_of.get(i, 0)
+        pool = view.one_hop & ~heard & ~(1 << view.owner) & ~advertised
         while pool:
             low = pool & -pool
             c = low.bit_length() - 1
@@ -95,7 +101,7 @@ def elect_forwarders(
     from; the multi-previous variant against all of ``prev_hops``.
     Returns (forwarders, uncovered).
     """
-    hops = 1 << first_hop if mode is Pruning.PDP else prev_hops
+    hops = 1 << first_hop if mode is _PDP else prev_hops
     return greedy_set_cover(build_problem(view, hops, prev_hops))
 
 

@@ -2,11 +2,10 @@
 from __future__ import annotations
 
 import csv
-import heapq
 import math
 from array import array
+from bisect import bisect_right
 from functools import cache
-from itertools import islice
 from pathlib import Path
 
 from .config import ConfigError, ScenarioConfig
@@ -227,15 +226,15 @@ def write_agg_csv(aggs: list[dict], path: Path) -> None:
     _write_csv(path, AGG_SCHEMA, columns, ([agg[c] for c in columns] for agg in aggs))
 
 
+_CDF_BLOCK = 1024  # samples one sorted run adds to a merge chunk, ties aside
+
+
 def write_delay_cdfs(rows: list[dict], out_dir: Path) -> None:
     """Write ``delay_cdf_<variant>_<sweep>.csv`` per (variant, sweep) that has
     delay samples: the empirical CDF of the samples pooled over its seeds,
     thinned to every ``step``-th sorted sample (``step = max(1, n // 500)``
-    of ``n``) and closed by the largest sample at 1.
-
-    One group at a time, each row's ``_delays`` (a list or an ``array("d")``)
-    is sorted into an array of its own and the group's sorted rows are
-    merged, so no list of every pooled sample is built.
+    of ``n``) and closed by the largest sample at 1.  One group is held at a
+    time (:func:`_thinned_cdf`), and no list of every pooled sample is built.
     """
     groups: dict[tuple[str, str], list] = {}
     for row in rows:
@@ -243,14 +242,44 @@ def write_delay_cdfs(rows: list[dict], out_dir: Path) -> None:
         if delays:
             groups.setdefault((row["variant"], row["sweep"]), []).append(delays)
     for (variant, sweep), samples in sorted(groups.items()):
-        runs = [array("d", sorted(delays)) for delays in samples]
-        n = sum(map(len, runs))
-        step = max(1, n // 500)
-        kept = islice(heapq.merge(*runs), 0, None, step)
-        points = [(d, (i + 1) / n) for i, d in zip(range(0, n, step), kept)]
-        points.append((max(r[-1] for r in runs), "1"))
         path = out_dir / f"delay_cdf_{variant}_{sweep}.csv"
-        _write_csv(path, "#schema=nobcr-delay-cdf-1", ["delay", "cdf"], points)
+        _write_csv(path, "#schema=nobcr-delay-cdf-1", ["delay", "cdf"], _thinned_cdf(samples))
+
+
+def _thinned_cdf(samples: list) -> list[tuple]:
+    """The CDF points of one group, from its rows' ``_delays`` (each a list
+    or an ``array("d")``, none empty).
+
+    Each row is sorted into an array of its own, and the sorted runs are
+    merged in bounded chunks: a chunk takes from every run the samples at or
+    below the smallest end of the runs' next ``_CDF_BLOCK`` samples, so every
+    sample left is larger than the chunk's.  Each chunk is sorted in one
+    call, and it yields every sample whose index in the pooled order is a
+    multiple of ``step``.
+    """
+    runs = [array("d", sorted(delays)) for delays in samples]
+    n = sum(map(len, runs))
+    step = max(1, n // 500)
+    starts = [0] * len(runs)
+    points = []
+    done = 0  # pooled index of the next chunk's first sample
+    while done < n:
+        bound = min(
+            run[min(start + _CDF_BLOCK, len(run)) - 1]
+            for run, start in zip(runs, starts)
+            if start < len(run)
+        )
+        chunk = []
+        for r, run in enumerate(runs):
+            end = bisect_right(run, bound, starts[r])
+            chunk += run[starts[r]:end]
+            starts[r] = end
+        chunk.sort()
+        for i in range(-done % step, len(chunk), step):
+            points.append((chunk[i], (done + i + 1) / n))
+        done += len(chunk)
+    points.append((max(run[-1] for run in runs), "1"))
+    return points
 
 
 def write_outputs(rows: list[dict], out_dir: str | Path, stem: str) -> list[dict]:

@@ -25,7 +25,7 @@ from .coding import OutEntry, PacketPool, PoolEntry, ReceptionTable
 from .config import Coding, ScenarioConfig, Termination
 from .forwarding import elect_forwarders, elect_source_forwarders
 from .model import ConstituentHeader, NeighborView, NodeSet, Packet, PacketId
-from .termination import Decision, TerminationState
+from .termination import DROP, TerminationState
 
 
 Action = Packet | OutEntry | PoolEntry
@@ -70,24 +70,25 @@ class Node:
         # the pool gains an entry and written off as a decode failure once
         # its expiry passes
         self.bank: list[tuple[float, Packet]] = []
-        self._cr = config.coded_redundancy and config.coding is not Coding.NONE
+        self._coding = config.coding is not Coding.NONE
+        self._cr = config.coded_redundancy and self._coding
         self._gratis_rule = not config.gratis_rule_off
         self._hello_horizon = config.hello_interval * config.hello_expiry_factor
 
     # -- helpers -----------------------------------------------------------
 
     def _logev(self, now: float, kind: str, *parts) -> None:
-        """Log an event when a log is attached.  The detail is formatted only
-        then: ``parts`` joined by spaces, floats to the millisecond."""
-        if self.log is not None:
-            detail = " ".join(f"{p:.3f}" if isinstance(p, float) else str(p) for p in parts)
-            self.log.add(now, self.id, kind, detail)
+        """Log an event to the attached log: ``parts`` joined by spaces,
+        floats to the millisecond.  Callers check ``self.log is not None``
+        first, so a run without a log builds no arguments."""
+        detail = " ".join(f"{p:.3f}" if isinstance(p, float) else str(p) for p in parts)
+        self.log.add(now, self.id, kind, detail)
 
     def _plan(self, seed: OutEntry, now: float, allow_gratis_pair: bool) -> list[OutEntry]:
         """What to send for ``seed``: the seed alone when coding is off or
         when it is gratis and no native is queued to carry it, else the plan
         coding detection grows from it."""
-        if self.config.coding is Coding.NONE:
+        if not self._coding:
             return [seed]
         if seed.gratis:
             for q in self.queue.values():
@@ -106,7 +107,8 @@ class Node:
         self.queue.pop(pid, None)
         self.queue[pid] = entry
         actions.append(entry)
-        self._logev(now, "buffer-gratis" if gratis else "buffer", pid, "until", entry.deadline)
+        if self.log is not None:
+            self._logev(now, "buffer-gratis" if gratis else "buffer", pid, "until", entry.deadline)
 
     def _transmit_plan(self, plan: list[OutEntry], now: float, actions: list[Action]) -> None:
         headers = []
@@ -137,7 +139,8 @@ class Node:
             payloads.append(entry.payload)
         pkt = coding.encode(headers, payloads, self.config.pkt_size, self.id)
         self.metrics.on_data_tx(n_constituents=len(plan), with_gratis=any_gratis)
-        self._logev(now, "tx", *headers)
+        if self.log is not None:
+            self._logev(now, "tx", *headers)
         actions.append(pkt)
 
     # -- events ------------------------------------------------------------
@@ -160,7 +163,8 @@ class Node:
         if len(cs) > 1:
             result = coding.decode(pkt, pool)
             if not result.ok:
-                self._logev(now, "decode-defer", *result.missing)
+                if self.log is not None:
+                    self._logev(now, "decode-defer", *result.missing)
                 for c in cs:
                     entry = pool.get(c.pid)
                     if entry is not None:
@@ -205,7 +209,7 @@ class Node:
                     self._relay(c, now, actions)
                 elif self.log is not None:
                     self._logev(now, "gratis-dup", c.pid)
-            elif self.term.check(c.pid, now, self.view) is Decision.DROP:
+            elif self.term.check(c.pid, now, self.view) is DROP:
                 if self.log is not None:
                     self._logev(now, "drop-term", c.pid)
             else:
@@ -219,7 +223,8 @@ class Node:
         if (c.forwarders >> self.id) & 1:
             queued = self.queue.get(c.pid)
             if queued is not None and not queued.gratis:
-                self._logev(now, "dup-queued", c.pid)
+                if self.log is not None:
+                    self._logev(now, "dup-queued", c.pid)
                 return
             plan = self._plan(OutEntry(c.pid, now, False), now, allow_gratis_pair=False)
             if len(plan) >= 2:
@@ -227,7 +232,7 @@ class Node:
                 return
             # buffer natively; an existing gratis entry is promoted
             self._buffer(c.pid, now, gratis=False, actions=actions)
-            if queued is not None:
+            if queued is not None and self.log is not None:
                 self._logev(now, "promote", c.pid)
             return
         if not self._cr:
@@ -235,7 +240,8 @@ class Node:
                 rule_gratis = c.gratis and self._gratis_rule
                 self._logev(now, "gratis-ignored" if rule_gratis else "drop-notfwd", c.pid)
         elif c.pid in self.queue:
-            self._logev(now, "gratis-already-queued", c.pid)
+            if self.log is not None:
+                self._logev(now, "gratis-already-queued", c.pid)
         else:
             self._buffer_gratis(c.pid, now, actions)
 
@@ -245,7 +251,7 @@ class Node:
         if self.view.one_hop & ~self.holders(pid, now):
             self.metrics.gratis_buffered += 1
             self._buffer(pid, now, gratis=True, actions=actions)
-        else:
+        elif self.log is not None:
             self._logev(now, "gratis-nomark", pid)
 
     def _resolve_bank(self, now: float, actions: list[Action]) -> None:
@@ -268,7 +274,8 @@ class Node:
                 return
             del self.bank[i]
             if result.recovered_pid is not None:
-                self._logev(now, "decode-late", result.recovered_pid)
+                if self.log is not None:
+                    self._logev(now, "decode-late", result.recovered_pid)
                 self.metrics.decode_late += 1
             self._take(pkt, result.recovered_payload, now, actions)
 
@@ -278,7 +285,8 @@ class Node:
         for expiry, pkt in self.bank:
             if expiry <= now:
                 self.metrics.decode_failures += 1
-                self._logev(now, "decode-fail", *(c.pid for c in pkt.constituents))
+                if self.log is not None:
+                    self._logev(now, "decode-fail", *(c.pid for c in pkt.constituents))
             else:
                 kept.append((expiry, pkt))
         self.bank = kept
@@ -290,7 +298,8 @@ class Node:
         del self.queue[pid]
         actions: list[Action] = []
         if not entry.gratis and self.term.stale_at_expiry(pid, now, self.view):
-            self._logev(now, "drop-term-late", pid)
+            if self.log is not None:
+                self._logev(now, "drop-term-late", pid)
             return actions
         # A gratis packet goes out only coded with a native one.  Without
         # allow_gratis_pair, detection admits a gratis member only once a
@@ -298,7 +307,8 @@ class Node:
         plan = self._plan(entry, now, allow_gratis_pair=not entry.gratis)
         if entry.gratis and len(plan) < 2:
             self.metrics.gratis_dropped += 1
-            self._logev(now, "gratis-expire-drop", pid)
+            if self.log is not None:
+                self._logev(now, "gratis-expire-drop", pid)
         else:
             self._transmit_plan(plan, now, actions)
         return actions
@@ -308,7 +318,8 @@ class Node:
         actions: list[Action] = [self.pool.record_copy(pid, None, make_payload(pid), now)]
         self.term.check(pid, now, self.view)  # register own packet
         self.metrics.generated += 1
-        self._logev(now, "gen", pid)
+        if self.log is not None:
+            self._logev(now, "gen", pid)
         self._transmit_plan([OutEntry(pid, now, False)], now, actions)
         return actions
 
@@ -318,7 +329,8 @@ class Node:
             del self.pool[pid]
             dropped = self.queue.pop(pid, None)
             if dropped is not None:
-                self._logev(now, "evict-queued", pid)
+                if self.log is not None:
+                    self._logev(now, "evict-queued", pid)
                 if dropped.gratis:
                     self.metrics.gratis_dropped += 1
 

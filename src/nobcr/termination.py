@@ -39,6 +39,11 @@ R/U        ``sn_last``                        ``check`` only reads;
 M/U        ``marks``: the node's reception    ``check`` reads;
            table                              ``stale_at_expiry`` re-checks
 =========  =================================  ==============================
+
+The enum members the hooks compare against are bound to module names once,
+at import, because ``EnumType`` defines ``__getattr__``, so on CPython a read
+through the class (``Termination.MCU``) takes the slow attribute path and
+costs several times a module-level name, on every reception.
 """
 from __future__ import annotations
 
@@ -53,6 +58,10 @@ from .model import NeighborView, PacketId, ReceptionTable
 class Decision(Enum):
     RELAY_ELIGIBLE = "relay"
     DROP = "drop"
+
+
+RELAY, DROP = Decision.RELAY_ELIGIBLE, Decision.DROP
+_MCU, _RU = Termination.MCU, Termination.RU
 
 
 @dataclass
@@ -70,30 +79,30 @@ class TerminationState:
         if self.marks is not None:
             # relay while some current neighbour has no valid mark for p
             if view.one_hop & ~self.marks.holders(p, now):
-                return Decision.RELAY_ELIGIBLE
-            return Decision.DROP
+                return RELAY
+            return DROP
         src = p.source
         gap = p.sn - self.sn_last.get(src, 0)
         mode = self.mode
         if gap > 0:
             # R/U stores only actual forwards, which the node reports through
             # note_forwarded; a gap of k or more leaves nothing of a window
-            if mode is not Termination.RU:
+            if mode is not _RU:
                 self.sn_last[src] = p.sn
-                if mode is Termination.MCU:
+                if mode is _MCU:
                     k = self.mcu_window
                     bm = self.windows.get(src, 0)
                     self.windows[src] = ((bm << gap) | 1) & ((1 << k) - 1) if gap < k else 1
-            return Decision.RELAY_ELIGIBLE
-        if mode is Termination.MCU and -gap < self.mcu_window:
+            return RELAY
+        if mode is _MCU and -gap < self.mcu_window:
             # an SN inside the window (SNs start at 1, so the source has
             # advanced before): relay it once
             bm = self.windows[src]
             mask = 1 << -gap
             if not bm & mask:
                 self.windows[src] = bm | mask
-                return Decision.RELAY_ELIGIBLE
-        return Decision.DROP
+                return RELAY
+        return DROP
 
     def stale_at_expiry(self, p: PacketId, now: float, view: NeighborView) -> bool:
         """Staleness of a buffered packet once its assessment delay runs out.
@@ -104,15 +113,15 @@ class TerminationState:
         meanwhile overwrites the stored value and kills p.  The window bitmap
         keeps per-SN state, so a buffered packet stays valid.
         """
-        if self.mode is Termination.MCU:
+        if self.mode is _MCU:
             return False
         if self.marks is not None:
-            return self.check(p, now, view) is Decision.DROP
+            return self.check(p, now, view) is DROP
         return self.sn_last.get(p.source, 0) > p.sn
 
     def note_forwarded(self, p: PacketId) -> None:
         """Report an actual transmission of p by this node (R/U semantics)."""
-        if self.mode is Termination.RU and p.sn > self.sn_last.get(p.source, 0):
+        if self.mode is _RU and p.sn > self.sn_last.get(p.source, 0):
             self.sn_last[p.source] = p.sn
 
     def digest(self) -> str:

@@ -187,6 +187,16 @@ class TestRunCommand:
         assert "duplicate key 'sim_duration'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2(self, tmp_path, capsys, jobs):
+        # no silent serial run: the parser rejects the value before any run
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "storage", "--desk", "--seeds", "1", "--jobs", jobs, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"argument --jobs: must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_set_exits_2(self, tmp_path, capsys):
         rc = main(["run", "storage", "--desk", "--set", "oops", "--out", str(tmp_path)])
         assert rc == 2

@@ -464,6 +464,8 @@ class TestDelayCdfs:
         )
     )
     @example([("a", "1", "list", 700, 1), ("a", "1", "array", 400, 2), ("a", "1", "empty", 0, 3)])
+    # several merge chunks of write_delay_cdfs, with ties across the rows
+    @example([("b", "10", "array", 9000, 4), ("b", "10", "list", 6000, 5), ("b", "10", "array", 3000, 6)])
     def test_cdf_files_equal_the_pooled_sort(self, specs):
         rows = []
         for seed, (variant, sweep, kind, n, stream) in enumerate(specs):
