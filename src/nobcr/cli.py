@@ -69,6 +69,8 @@ def cmd_run(args) -> int:
             print(f"error: {args.target!r} is neither a preset nor a config file", file=sys.stderr)
             print(f"presets: {', '.join(sorted(PRESETS))}", file=sys.stderr)
             return 2
+        if args.desk:  # a config file is its own profile; --desk would change nothing
+            raise ConfigError("--desk applies to presets only, not to a config file")
         spec = file_spec(path)
         stem = path.stem
     rows, aggs = harness.run_experiment(
@@ -135,14 +137,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a preset experiment or a config file")
     run.add_argument("target", help=f"preset ({', '.join(sorted(PRESETS))}) or config file")
-    run.add_argument("--desk", action="store_true", help="small fast profile")
+    run.add_argument("--desk", action="store_true", help="small fast profile of a preset")
     run.add_argument("--seeds", help="seed list: 1..10 or 1,2,5")
     run.add_argument("--variant", action="append", help=f"one of {', '.join(sorted(VARIANTS))}; "
                      "it fixes its protocol fields, and a config that sets one otherwise is an error")
     run.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                     help="override a field of the preset, its sweep point or the config file, "
-                     "parsed by the field's type; each key once, not seed (use --seeds), "
-                     "nor a field the variant fixes, to another value")
+                     help="override a field of the preset or the config file, parsed by the "
+                     "field's type; each key once, not seed (use --seeds), not a key the preset "
+                     "sweeps, nor a field the variant fixes, to another value")
     run.add_argument("--out", default="results")
     run.add_argument("--jobs", type=worker_count, default=1, help="worker processes, at least 1")
     run.set_defaults(func=cmd_run)

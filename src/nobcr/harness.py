@@ -51,10 +51,12 @@ def build_tasks(
     A task's ``config`` merges, in this order, the profile base, the sweep
     point, ``overrides`` (``--set``, or a config file's own keys), the
     variant's settings and ``seed``.  No user value is dropped without a
-    word: a ``ConfigError`` is raised before any run when the merged point
-    sets a field that a variant fixes to another value (compared as parsed,
-    so ``"0.40"`` equals ``0.4``), sets ``seed``, which comes from ``seeds``
-    alone, or when a seed or a variant is named twice.
+    word: a ``ConfigError`` is raised before any run when ``overrides`` sets
+    a key the sweep varies (every row would keep its point's label but run
+    the override), when the merged point sets a field that a variant fixes
+    to another value (compared as parsed, so ``"0.40"`` equals ``0.4``),
+    sets ``seed``, which comes from ``seeds`` alone, or when a seed or a
+    variant is named twice.
     """
     base, sweep, default_seeds = spec.profile(desk)
     seeds = list(default_seeds if seeds is None else seeds)
@@ -66,6 +68,12 @@ def build_tasks(
         repeated = sorted({v for v in values if values.count(v) > 1})
         if repeated:  # one run counted twice would shrink every interval
             raise ConfigError(f"repeated {what}: {repeated}")
+    swept = sorted({key for _, changes in sweep for key in changes} & set(overrides or ()))
+    if swept:
+        raise ConfigError(
+            f"{spec.name} sweeps {', '.join(swept)} over points "
+            f"{', '.join(label for label, _ in sweep)}: an override would run every point alike"
+        )
     tasks = []
     for label, changes in sweep:
         point = {**base, **changes, **(overrides or {})}
@@ -312,10 +320,14 @@ def run_experiment(
 
 
 def read_rows(path: str | Path) -> list[dict]:
+    """The rows of a raw CSV, as written by :func:`write_raw_csv`; any other
+    file, an aggregate or a delay CDF included, is a ``ValueError``."""
     with Path(path).open() as fh:
-        first = fh.readline()
+        first = fh.readline().rstrip("\r\n")
         if not first.startswith("#schema="):
             raise ValueError(f"{path}: missing schema line")
+        if first != RAW_SCHEMA:
+            raise ValueError(f"{path}: not a raw CSV: found {first}, expected {RAW_SCHEMA}")
         return list(csv.DictReader(fh))
 
 

@@ -146,20 +146,24 @@ def _percentile(ordered: list[float], i: int) -> float:
 
 
 class SimLog:
-    """Flat, ordered event trace used by scripted-scenario assertions."""
+    """Flat, ordered event trace used by scripted-scenario assertions.  Each
+    entry is the record ``(t, node, kind, parts)``, ``parts`` unformatted as
+    the caller passed them (packet ids, constituent headers, a buffer event's
+    ``"until"`` and deadline).  :meth:`lines` is the only formatter: parts
+    joined by spaces, floats to the millisecond, everything else by ``str``."""
 
     def __init__(self):
-        self.entries: list[tuple[float, int, str, str]] = []
+        self.entries: list[tuple[float, int, str, tuple]] = []
 
-    def add(self, t: float, node: int, kind: str, detail: str = "") -> None:
-        self.entries.append((t, node, kind, detail))
+    def add(self, t: float, node: int, kind: str, *parts) -> None:
+        self.entries.append((t, node, kind, parts))
 
-    def filter(self, kind: str | None = None, node: int | None = None):
-        return [
-            e
-            for e in self.entries
-            if (kind is None or e[2] == kind) and (node is None or e[1] == node)
-        ]
+    def filter(self, kind: str) -> list[tuple[float, int, str, tuple]]:
+        return [e for e in self.entries if e[2] == kind]
 
     def lines(self) -> list[str]:
-        return [f"{t:10.4f}  n{node:<3d} {kind:<18s} {detail}" for t, node, kind, detail in self.entries]
+        return [
+            f"{t:10.4f}  n{node:<3d} {kind:<18s} "
+            + " ".join(f"{p:.3f}" if isinstance(p, float) else str(p) for p in parts)
+            for t, node, kind, parts in self.entries
+        ]

@@ -77,13 +77,6 @@ class Node:
 
     # -- helpers -----------------------------------------------------------
 
-    def _logev(self, now: float, kind: str, *parts) -> None:
-        """Log an event to the attached log: ``parts`` joined by spaces,
-        floats to the millisecond.  Callers check ``self.log is not None``
-        first, so a run without a log builds no arguments."""
-        detail = " ".join(f"{p:.3f}" if isinstance(p, float) else str(p) for p in parts)
-        self.log.add(now, self.id, kind, detail)
-
     def _plan(self, seed: OutEntry, now: float, allow_gratis_pair: bool) -> list[OutEntry]:
         """What to send for ``seed``: the seed alone when coding is off or
         when it is gratis and no native is queued to carry it, else the plan
@@ -108,7 +101,8 @@ class Node:
         self.queue[pid] = entry
         actions.append(entry)
         if self.log is not None:
-            self._logev(now, "buffer-gratis" if gratis else "buffer", pid, "until", entry.deadline)
+            kind = "buffer-gratis" if gratis else "buffer"
+            self.log.add(now, self.id, kind, pid, "until", entry.deadline)
 
     def _transmit_plan(self, plan: list[OutEntry], now: float, actions: list[Action]) -> None:
         headers = []
@@ -140,7 +134,7 @@ class Node:
         pkt = coding.encode(headers, payloads, self.config.pkt_size, self.id)
         self.metrics.on_data_tx(n_constituents=len(plan), with_gratis=any_gratis)
         if self.log is not None:
-            self._logev(now, "tx", *headers)
+            self.log.add(now, self.id, "tx", *headers)
         actions.append(pkt)
 
     # -- events ------------------------------------------------------------
@@ -164,7 +158,7 @@ class Node:
             result = coding.decode(pkt, pool)
             if not result.ok:
                 if self.log is not None:
-                    self._logev(now, "decode-defer", *result.missing)
+                    self.log.add(now, self.id, "decode-defer", *result.missing)
                 for c in cs:
                     entry = pool.get(c.pid)
                     if entry is not None:
@@ -208,10 +202,10 @@ class Node:
                 if entry is None:
                     self._relay(c, now, actions)
                 elif self.log is not None:
-                    self._logev(now, "gratis-dup", c.pid)
+                    self.log.add(now, self.id, "gratis-dup", c.pid)
             elif self.term.check(c.pid, now, self.view) is DROP:
                 if self.log is not None:
-                    self._logev(now, "drop-term", c.pid)
+                    self.log.add(now, self.id, "drop-term", c.pid)
             else:
                 self._relay(c, now, actions)
 
@@ -224,7 +218,7 @@ class Node:
             queued = self.queue.get(c.pid)
             if queued is not None and not queued.gratis:
                 if self.log is not None:
-                    self._logev(now, "dup-queued", c.pid)
+                    self.log.add(now, self.id, "dup-queued", c.pid)
                 return
             plan = self._plan(OutEntry(c.pid, now, False), now, allow_gratis_pair=False)
             if len(plan) >= 2:
@@ -233,15 +227,15 @@ class Node:
             # buffer natively; an existing gratis entry is promoted
             self._buffer(c.pid, now, gratis=False, actions=actions)
             if queued is not None and self.log is not None:
-                self._logev(now, "promote", c.pid)
+                self.log.add(now, self.id, "promote", c.pid)
             return
         if not self._cr:
             if self.log is not None:
                 rule_gratis = c.gratis and self._gratis_rule
-                self._logev(now, "gratis-ignored" if rule_gratis else "drop-notfwd", c.pid)
+                self.log.add(now, self.id, "gratis-ignored" if rule_gratis else "drop-notfwd", c.pid)
         elif c.pid in self.queue:
             if self.log is not None:
-                self._logev(now, "gratis-already-queued", c.pid)
+                self.log.add(now, self.id, "gratis-already-queued", c.pid)
         else:
             self._buffer_gratis(c.pid, now, actions)
 
@@ -252,7 +246,7 @@ class Node:
             self.metrics.gratis_buffered += 1
             self._buffer(pid, now, gratis=True, actions=actions)
         elif self.log is not None:
-            self._logev(now, "gratis-nomark", pid)
+            self.log.add(now, self.id, "gratis-nomark", pid)
 
     def _resolve_bank(self, now: float, actions: list[Action]) -> None:
         """Retry banked encoded packets against the current pool.
@@ -275,7 +269,7 @@ class Node:
             del self.bank[i]
             if result.recovered_pid is not None:
                 if self.log is not None:
-                    self._logev(now, "decode-late", result.recovered_pid)
+                    self.log.add(now, self.id, "decode-late", result.recovered_pid)
                 self.metrics.decode_late += 1
             self._take(pkt, result.recovered_payload, now, actions)
 
@@ -286,7 +280,7 @@ class Node:
             if expiry <= now:
                 self.metrics.decode_failures += 1
                 if self.log is not None:
-                    self._logev(now, "decode-fail", *(c.pid for c in pkt.constituents))
+                    self.log.add(now, self.id, "decode-fail", *(c.pid for c in pkt.constituents))
             else:
                 kept.append((expiry, pkt))
         self.bank = kept
@@ -299,7 +293,7 @@ class Node:
         actions: list[Action] = []
         if not entry.gratis and self.term.stale_at_expiry(pid, now, self.view):
             if self.log is not None:
-                self._logev(now, "drop-term-late", pid)
+                self.log.add(now, self.id, "drop-term-late", pid)
             return actions
         # A gratis packet goes out only coded with a native one.  Without
         # allow_gratis_pair, detection admits a gratis member only once a
@@ -308,7 +302,7 @@ class Node:
         if entry.gratis and len(plan) < 2:
             self.metrics.gratis_dropped += 1
             if self.log is not None:
-                self._logev(now, "gratis-expire-drop", pid)
+                self.log.add(now, self.id, "gratis-expire-drop", pid)
         else:
             self._transmit_plan(plan, now, actions)
         return actions
@@ -319,7 +313,7 @@ class Node:
         self.term.check(pid, now, self.view)  # register own packet
         self.metrics.generated += 1
         if self.log is not None:
-            self._logev(now, "gen", pid)
+            self.log.add(now, self.id, "gen", pid)
         self._transmit_plan([OutEntry(pid, now, False)], now, actions)
         return actions
 
@@ -330,7 +324,7 @@ class Node:
             dropped = self.queue.pop(pid, None)
             if dropped is not None:
                 if self.log is not None:
-                    self._logev(now, "evict-queued", pid)
+                    self.log.add(now, self.id, "evict-queued", pid)
                 if dropped.gratis:
                     self.metrics.gratis_dropped += 1
 

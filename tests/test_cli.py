@@ -7,12 +7,13 @@ from nobcr.harness import build_tasks, read_rows
 from nobcr.presets import PRESETS
 from nobcr.scenario import script_dir
 
-# shrink any preset to something that finishes in well under a second
+# shrink a sources-sweep preset to something that finishes in about a second;
+# n_sources is the swept key, so it is left to the points, and 30 nodes hold
+# the largest desk point
 FAST = [
-    "--set", "n_nodes=10",
+    "--set", "n_nodes=30",
     "--set", "area_side=400",
     "--set", "sim_duration=5",
-    "--set", "n_sources=2",
     "--set", "pkt_rate=1.0",
 ]
 
@@ -79,6 +80,15 @@ class TestRunCommand:
         assert main(["run", str(cfg), "--variant", "pdp-cu", "--out", str(tmp_path)]) == 0
         raw = read_rows(tmp_path / "seeded_raw.csv")
         assert [(r["variant"], r["seed"]) for r in raw] == [("pdp-cu", "7")]
+
+    def test_desk_with_a_config_file_exits_2(self, tmp_path, capsys):
+        # a config file is its own profile, so --desk would change nothing
+        cfg = tmp_path / "mine.cfg"
+        cfg.write_text("n_nodes = 6\n")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--desk", "--out", str(out)]) == 2
+        assert "--desk applies to presets only" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_target_exits_2(self, tmp_path, capsys):
         rc = main(["run", "no-such-preset", "--out", str(tmp_path)])
@@ -297,6 +307,14 @@ class TestReportCommand:
         rc = main(["report", str(base), str(base)])
         assert rc == 2
         assert "missing schema line" in capsys.readouterr().err
+
+    def test_non_raw_input_exits_2(self, tmp_path, capsys):
+        base = _raw_csv(tmp_path / "base.csv", [("pdp-cu", 1, 200)])
+        agg = tmp_path / "x_agg.csv"
+        agg.write_text("#schema=nobcr-agg-1\nexperiment,variant,sweep,n_seeds\nx,nobcr,10,1\n")
+        rc = main(["report", base, str(agg)])
+        assert rc == 2
+        assert f"{agg}: not a raw CSV: found #schema=nobcr-agg-1" in capsys.readouterr().err
 
 
 def test_entry_point_is_installed():

@@ -5,7 +5,6 @@ nothing but the protocol stands between a packet and the nodes its source
 can reach.  Every variant must then deliver every packet to every node that
 a breadth-first search from the source reaches in the static topology.
 """
-import re
 from collections import Counter
 
 import pytest
@@ -83,10 +82,8 @@ def test_mu_sends_no_packet_natively_twice(variant):
     log = SimLog()
     Simulation(VARIANTS[variant].apply(IDEAL), log=log).run()
     sends: Counter = Counter()
-    for _, node, _, detail in log.filter(kind="tx"):
-        # the detail lists the constituents, a gratis one starred
-        for pid in re.findall(r"(PacketId\([^)]*\))(?!\*)", detail):
-            sends[node, pid] += 1
+    for _, node, _, headers in log.filter(kind="tx"):
+        sends.update((node, h.pid) for h in headers if not h.gratis)
     assert sends
     assert sum(n - 1 for n in sends.values()) == 0
 

@@ -75,12 +75,15 @@ class TestBuildTasks:
         assert {t["seed"] for t in tasks} == {5, 9}
 
     def test_overrides_beat_sweep_changes(self):
-        tasks = build_tasks(
-            PRESETS["sparse-sources"], desk=True, variants=["nobcr"], overrides={"n_sources": 7}
-        )
-        assert all(t["config"]["n_sources"] == 7 for t in tasks)
-        # the sweep label still names the point it came from
-        assert {t["sweep"] for t in tasks} == {"10", "20", "30"}
+        """An override would beat the sweep point's own value while each row
+        kept the point's label, so an override of any swept key is rejected
+        before any run."""
+        swept = "sparse-sources sweeps n_sources over points 10, 20, 30"
+        with pytest.raises(ConfigError, match=swept):
+            build_tasks(PRESETS["sparse-sources"], desk=True, overrides={"n_sources": 7})
+        swept = "scalability sweeps area_side, n_nodes over points 40, 60, 80"
+        with pytest.raises(ConfigError, match=swept):
+            build_tasks(PRESETS["scalability"], True, overrides={"n_nodes": "9", "area_side": 500})
 
     def test_bad_override_fails_before_any_run(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
@@ -405,6 +408,19 @@ class TestCsvRoundTrip:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError, match="missing schema line"):
             read_rows(path)
+
+    def test_read_rows_accepts_only_a_raw_csv(self, tmp_path):
+        # report pairs raw rows on their seed: an aggregate or a delay CDF has none
+        rows = run_tasks([tiny_task()])
+        write_agg_csv(aggregate(rows), tmp_path / "agg.csv")
+        write_delay_cdfs(rows, tmp_path)
+        for path, schema in [
+            (tmp_path / "agg.csv", "#schema=nobcr-agg-1"),
+            (tmp_path / "delay_cdf_nobcr_-.csv", "#schema=nobcr-delay-cdf-1"),
+        ]:
+            with pytest.raises(ValueError) as err:
+                read_rows(path)
+            assert str(err.value) == f"{path}: not a raw CSV: found {schema}, expected {RAW_SCHEMA}"
 
     def test_identical_task_writes_identical_bytes(self, tmp_path):
         # the repeatability contract end to end: same config and seed, same file

@@ -363,7 +363,7 @@ def test_gratis_marking_reads_the_reception_table():
     node.on_receive(xor_pkt([p, q], tx_node=2), now=1.0)
     assert log.filter(kind="decode-defer")
     node.on_receive(native(p, tx_node=1), now=1.1)
-    assert [e[3] for e in log.filter(kind="gratis-nomark")] == [str(p)]
+    assert [e[3] for e in log.filter(kind="gratis-nomark")] == [(p,)]
     assert set(node.queue) == {q}  # q, recovered from the bank, only node 2 holds
     assert node.table.holders(p, 1.1) == node.view.one_hop
 
@@ -479,7 +479,7 @@ def test_late_decode_is_the_first_native_decision_for_a_gratis_copy():
     node.on_receive(gratis_pkt(q, tx_node=1), now=1.5)
     assert node.metrics.decode_late == 1 and not node.bank
     assert not node.queue[q].gratis
-    assert [e[3] for e in log.filter(kind="promote")] == [str(q)]
+    assert [e[3] for e in log.filter(kind="promote")] == [(q,)]
 
 
 def test_two_banked_copies_of_one_xor_decode_late_once():
@@ -493,9 +493,9 @@ def test_two_banked_copies_of_one_xor_decode_late_once():
     assert len(node.bank) == 2
     node.on_receive(native(p, forwarders=0, tx_node=3), now=1.5)
     assert node.metrics.decode_late == 1 and not node.bank
-    assert [e[3] for e in log.filter(kind="decode-late")] == [str(q)]
+    assert [e[3] for e in log.filter(kind="decode-late")] == [(q,)]
     # MC/U: each constituent's first check relays it, every later one drops
-    assert [e[3] for e in log.filter(kind="drop-term")] == [str(p), str(p), str(q)]
+    assert [e[3] for e in log.filter(kind="drop-term")] == [(p,), (p,), (q,)]
     assert node.pool[p].prev_hops == from_ids({1, 2, 3})
     assert node.pool[q].prev_hops == from_ids({1, 2})
 

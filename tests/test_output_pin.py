@@ -17,6 +17,10 @@ live 5 s.  None of those samples detector storage, so a last pin
 ``ReceptionTable.item_count`` and the lightweight pool's item count into the
 storage columns.
 
+A sixth pin (``SCRIPT_LOG_ROWS``) covers what the raw CSV never shows, the
+event log: the sha256 of the full ``nobcr script`` stdout (log lines,
+deliveries and counters) of each shipped script.
+
 A refactor or a speed-up must leave every digest alone.  An intended change
 of behaviour re-records only the rows of the variants it changes, and says
 so, with the shift in results, in CHANGES.md; since every row is keyed by its
@@ -28,10 +32,15 @@ the recorded one, so that re-recording is a copy of the marked lines.  It
 exits 1 when the header or any row is marked, so a shell check can gate on
 it.
 """
+import contextlib
 import hashlib
+import io
 
-from nobcr import harness
+import pytest
+
+from nobcr import cli, harness
 from nobcr.presets import PRESETS, VARIANTS
+from nobcr.scenario import script_dir
 
 # sha256 of the schema line plus the column header, shared by every pin
 HEADER_SHA256 = "c6f560a20b80887bc1f05e6cd97e89766010c0a2ab8806f772b22a7dc5adc260"
@@ -66,6 +75,11 @@ STORAGE_ROWS = [
     ("storage", "codeb", "0715655dd668b1496db3244c3c69594e3bbe111b17b2fb2a5e4085d45e03908f"),
     ("storage", "nobcr", "d0c7c1c65a1b7608097a024894fd9af13e553fbf5ad33283e314d064c1f4d6b3"),
     ("storage", "nobcr-table", "be6d86a7d46923527502bdbd73d8cd5f02eed390d34aebbff3fbcc7ec4a78242"),
+]
+# (shipped script, sha256 of its ``nobcr script`` stdout)
+SCRIPT_LOG_ROWS = [
+    ("gratis_rule.json", "8c2bb2fcebd1710d7f75a1c68487043a45da460d623984086d75e9e1ef21307d"),
+    ("sequence_gap.json", "4f69aa8c5ec2914e4b411b92723fa5542277703cb483780e8ad8e596ced65578"),
 ]
 
 CASES = [
@@ -115,6 +129,13 @@ def _digests(tasks, path):
     return hashlib.sha256(schema + header).hexdigest(), rows_out
 
 
+def _script_digest(name):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["script", str(script_dir() / name)]) == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
 def _check(cases, overrides, expected_rows, path):
     tasks = _tasks(cases, overrides)
     assert len(tasks) == len(expected_rows)
@@ -143,6 +164,12 @@ def test_storage_raw_csv_digest_is_pinned(tmp_path):
     _check(*PINS["STORAGE_ROWS"], tmp_path / "pin_raw.csv")
 
 
+@pytest.mark.parametrize("row", SCRIPT_LOG_ROWS, ids=[name for name, _ in SCRIPT_LOG_ROWS])
+def test_script_event_log_digest_is_pinned(row):
+    name, _ = row
+    assert (name, _script_digest(name)) == row
+
+
 if __name__ == "__main__":
     import tempfile
     from pathlib import Path
@@ -160,4 +187,11 @@ if __name__ == "__main__":
                 differs |= new
                 print('    ("{}", "{}", "{}"),{}'.format(*row, "  # differs" if new else ""))
             print("]")
+    print("SCRIPT_LOG_ROWS = [")
+    for name, _ in SCRIPT_LOG_ROWS:
+        row = (name, _script_digest(name))
+        new = row not in SCRIPT_LOG_ROWS
+        differs |= new
+        print('    ("{}", "{}"),{}'.format(*row, "  # differs" if new else ""))
+    print("]")
     raise SystemExit(1 if differs else 0)

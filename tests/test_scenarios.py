@@ -10,6 +10,7 @@ import json
 import pytest
 
 from nobcr.config import ConfigError
+from nobcr.model import ConstituentHeader, PacketId, bit
 from nobcr.scenario import ScriptError, load_script, run_scenario, script_dir
 
 
@@ -61,11 +62,14 @@ class TestSequenceGapScript:
         assert metrics.delivered_nodes((0, 1)) == {1}
         assert metrics.delivered_nodes((0, 2)) == {1, 2, 3, 4}
         assert metrics.summary()["data_tx"] == 4.0
-        p1 = "PacketId(source=0, sn=1)"
-        late = [(t, node) for t, node, kind, detail in log.filter(kind="drop-term-late") if detail == p1]
+        p1 = PacketId(0, 1)
+        late = [(t, n) for t, n, _, parts in log.filter(kind="drop-term-late") if parts == (p1,)]
         assert late == [(pytest.approx(1.001088, abs=1e-6), 1)]
-        # past node 1 the packet never shows up in any event
-        touched = {node for _, node, _, detail in log.filter() if p1 in detail}
+        # past node 1 the packet never shows up in any event, as an id or in a header
+        touched = {
+            node for _, node, _, parts in log.entries
+            if any(getattr(x, "pid", x) == p1 for x in parts)
+        }
         assert touched == {0, 1}
 
     def test_mcu_relays_reordered_packet_everywhere(self):
@@ -289,16 +293,17 @@ def test_tied_events_run_in_queueing_order(tmp_path):
     queued when (0, 1) was pooled, which drops the buffered copy before its
     RAD expiry, queued just after it, can send it."""
     _, log = run_scenario(load_script(_write(tmp_path, TIE_SCRIPT)))
-    p1, q1 = "PacketId(source=0, sn=1)", "PacketId(source=2, sn=1)"
+    p1, q1 = PacketId(0, 1), PacketId(2, 1)
+    expiry = 3.069034971484865  # node 1's RAD expiry for q1
     assert log.entries == [
-        (0.9375, 0, "gen", p1),
-        (0.9375, 0, "tx", p1),
-        (1.0, 1, "buffer", f"{p1} until 3.000"),
-        (3.0, 2, "gen", q1),
-        (3.0, 2, "tx", q1),
-        (3.0, 1, "evict-queued", p1),
-        (3.0625, 1, "buffer", f"{q1} until 3.069"),
-        (3.069034971484865, 1, "tx", q1),
-        (3.131534971484865, 0, "drop-notfwd", q1),
-        (3.131534971484865, 2, "drop-term", q1),
+        (0.9375, 0, "gen", (p1,)),
+        (0.9375, 0, "tx", (ConstituentHeader(p1, bit(1), False, 0.9375),)),
+        (1.0, 1, "buffer", (p1, "until", 3.0)),
+        (3.0, 2, "gen", (q1,)),
+        (3.0, 2, "tx", (ConstituentHeader(q1, bit(1), False, 3.0),)),
+        (3.0, 1, "evict-queued", (p1,)),
+        (3.0625, 1, "buffer", (q1, "until", expiry)),
+        (expiry, 1, "tx", (ConstituentHeader(q1, 0, False, 3.0),)),
+        (3.131534971484865, 0, "drop-notfwd", (q1,)),
+        (3.131534971484865, 2, "drop-term", (q1,)),
     ]
