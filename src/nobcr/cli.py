@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import harness
@@ -32,6 +33,17 @@ def worker_count(text: str) -> int:
 
 def parse_sets(pairs: list[str]) -> dict[str, str]:
     return parse_pairs(("--set", pair) for pair in pairs)
+
+
+@contextmanager
+def file_access():
+    """Report an ``OSError`` raised inside, such as a missing input file or an
+    ``--out`` that cannot be a directory, as a ``ValueError`` that names the
+    file, so :func:`main` turns it into an error line and exit status 2."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValueError(f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)) from exc
 
 
 def file_spec(path: Path) -> ExperimentSpec:
@@ -65,24 +77,25 @@ def cmd_run(args) -> int:
         stem = f"{spec.name}_{'desk' if args.desk else 'full'}"
     else:
         path = Path(args.target)
-        if not path.exists():
-            print(f"error: {args.target!r} is neither a preset nor a config file", file=sys.stderr)
-            print(f"presets: {', '.join(sorted(PRESETS))}", file=sys.stderr)
-            return 2
+        if not path.is_file():
+            raise ConfigError(f"{args.target!r} is neither a preset nor a config file; "
+                              f"presets: {', '.join(sorted(PRESETS))}")
         if args.desk:  # a config file is its own profile; --desk would change nothing
             raise ConfigError("--desk applies to presets only, not to a config file")
-        spec = file_spec(path)
+        with file_access():
+            spec = file_spec(path)
         stem = path.stem
-    rows, aggs = harness.run_experiment(
-        spec,
-        stem,
-        desk=args.desk,
-        seeds=seeds,
-        variants=args.variant,
-        out_dir=args.out,
-        jobs=args.jobs,
-        overrides=overrides or None,
-    )
+    with file_access():
+        rows, aggs = harness.run_experiment(
+            spec,
+            stem,
+            desk=args.desk,
+            seeds=seeds,
+            variants=args.variant,
+            out_dir=args.out,
+            jobs=args.jobs,
+            overrides=overrides or None,
+        )
     print(f"{spec.name}: {len(rows)} runs written to {args.out}/")
     for agg in aggs:
         print(
@@ -110,14 +123,17 @@ def _print_script_result(metrics: Metrics, log, quiet: bool) -> None:
 
 
 def cmd_script(args) -> int:
-    metrics, log = run_scenario(load_script(args.file), **parse_sets(args.set))
+    with file_access():
+        scenario = load_script(args.file)
+    metrics, log = run_scenario(scenario, **parse_sets(args.set))
     _print_script_result(metrics, log, args.quiet)
     return 0
 
 
 def cmd_report(args) -> int:
-    base = harness.read_rows(args.baseline)
-    cand = harness.read_rows(args.candidate)
+    with file_access():
+        base = harness.read_rows(args.baseline)
+        cand = harness.read_rows(args.candidate)
     rows = harness.paired_differences(base, cand)
     print(f"{args.candidate} minus {args.baseline}, paired on (sweep, seed), mean ± 95% CI")
     for row in rows:
@@ -169,7 +185,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # ConfigError and ScriptError included
+    except ValueError as exc:  # ConfigError, ScriptError and file_access included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,9 @@ import hashlib
 import heapq
 import math
 import random
+from bisect import bisect_left
 from collections import deque
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .coding import OutEntry, PoolEntry
@@ -30,6 +32,7 @@ from .node import Node
 
 RX, RAD, HELLO, GEN, SAMPLE = range(5)
 SAMPLE_INTERVAL = 1.0  # seconds between detector-storage samples
+_leg_end = itemgetter(1)
 
 
 def substream(seed: int, name: str, index: int = 0) -> random.Random:
@@ -44,7 +47,7 @@ class Waypoint:
     t >= 0 see a process that has already been moving for a while.
     """
 
-    __slots__ = ("rng", "side", "speed_min", "speed_max", "pause", "_legs", "_idx", "leg")
+    __slots__ = ("rng", "side", "speed_min", "speed_max", "pause", "_legs", "_leg")
 
     def __init__(self, rng, side, speed_min, speed_max, pause, t0):
         self.rng = rng
@@ -56,9 +59,7 @@ class Waypoint:
         y = rng.uniform(0, side)
         # legs: (t_start, t_end, x0, y0, vx, vy)
         self._legs = [(t0, t0, x, y, 0.0, 0.0)]
-        self._idx = 0
-        # the leg the last position query fell on
-        self.leg = self._legs[0]
+        self._leg = self._legs[0]  # the leg of the last answer
 
     def _extend(self) -> None:
         t_start, t_end, x0, y0, vx, vy = self._legs[-1]
@@ -81,22 +82,16 @@ class Waypoint:
         """Where the walker is at ``t``: a pure function of ``t``.
 
         The answer is evaluated on the first leg that ends at or after ``t``,
-        so a time exactly on a leg boundary reads the earlier leg.  The leg
-        cursor only saves the search: a query at or before the start of the
-        cursor's leg rewinds it to the first leg, so which earlier queries
-        moved it never changes an answer.
+        so a time exactly on a leg boundary reads the earlier leg, and ``t``
+        never lies past the leg's end.  That leg is the leg of the previous
+        answer when ``t`` lies inside it, and found by bisection otherwise.
         """
-        while t > self._legs[-1][1]:
-            self._extend()
-        idx = self._idx
-        legs = self._legs
-        if t <= legs[idx][0]:
-            idx = 0
-        while idx + 1 < len(legs) and legs[idx][1] < t:
-            idx += 1
-        self._idx = idx
-        t0, t1, x0, y0, vx, vy = self.leg = legs[idx]
-        dt = min(t, t1) - t0
+        t0, t1, x0, y0, vx, vy = self._leg
+        if not t0 < t <= t1:
+            while t > self._legs[-1][1]:
+                self._extend()
+            t0, t1, x0, y0, vx, vy = self._leg = self._legs[bisect_left(self._legs, t, key=_leg_end)]
+        dt = t - t0
         return x0 + vx * dt, y0 + vy * dt
 
 
@@ -233,14 +228,7 @@ class Radio:
         mask = 0
         ids = []
         for j in candidates:
-            traj = trajectories[j]
-            # inside the walker's current leg this is position(t)'s expression
-            t0, t1, x0, y0, vx, vy = traj.leg
-            if t0 < t <= t1:
-                dt = t - t0
-                xj, yj = x0 + vx * dt, y0 + vy * dt
-            else:
-                xj, yj = traj.position(t)
+            xj, yj = trajectories[j].position(t)
             dx, dy = xs - xj, ys - yj
             if dx * dx + dy * dy <= r2:
                 mask |= 1 << j

@@ -27,12 +27,7 @@ def run_one(task: dict) -> dict:
     ``seed`` only label the row.
     """
     metrics = Simulation(ScenarioConfig.from_mapping(task["config"])).run()
-    row = {
-        "experiment": task["experiment"],
-        "variant": task["variant"],
-        "sweep": task["sweep"],
-        "seed": task["seed"],
-    }
+    row = {key: task[key] for key in _KEY_COLUMNS}
     row.update(metrics.summary())
     row["_delays"] = metrics.delay_samples
     return row
@@ -290,18 +285,6 @@ def _thinned_cdf(samples: list) -> list[tuple]:
     return points
 
 
-def write_outputs(rows: list[dict], out_dir: str | Path, stem: str) -> list[dict]:
-    """Write ``<stem>_raw.csv``, ``<stem>_agg.csv`` and the delay CDFs; return
-    the aggregate rows written."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_raw_csv(rows, out / f"{stem}_raw.csv")
-    aggs = aggregate(rows)
-    write_agg_csv(aggs, out / f"{stem}_agg.csv")
-    write_delay_cdfs(rows, out)
-    return aggs
-
-
 def run_experiment(
     spec: ExperimentSpec,
     stem: str,
@@ -312,11 +295,19 @@ def run_experiment(
     jobs: int = 1,
     overrides: dict | None = None,
 ) -> tuple[list[dict], list[dict]]:
-    """Run every task of ``spec`` and write its outputs under ``stem``; return
-    the raw and the aggregate rows written."""
+    """Run every task of ``spec`` and write ``<stem>_raw.csv``,
+    ``<stem>_agg.csv`` and the delay CDFs into ``out_dir``; return the raw
+    and the aggregate rows written.  ``out_dir`` is created first, so one
+    that cannot be fails before any run."""
     tasks = build_tasks(spec, desk, seeds=seeds, variants=variants, overrides=overrides)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     rows = run_tasks(tasks, jobs=jobs)
-    return rows, write_outputs(rows, out_dir, stem)
+    write_raw_csv(rows, out / f"{stem}_raw.csv")
+    aggs = aggregate(rows)
+    write_agg_csv(aggs, out / f"{stem}_agg.csv")
+    write_delay_cdfs(rows, out)
+    return rows, aggs
 
 
 def read_rows(path: str | Path) -> list[dict]:
@@ -328,7 +319,12 @@ def read_rows(path: str | Path) -> list[dict]:
             raise ValueError(f"{path}: missing schema line")
         if first != RAW_SCHEMA:
             raise ValueError(f"{path}: not a raw CSV: found {first}, expected {RAW_SCHEMA}")
-        return list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        missing = [c for c in _KEY_COLUMNS + SUMMARY_COLUMNS if c not in header]
+        if missing:
+            raise ValueError(f"{path}: raw CSV lacks columns {', '.join(missing)}")
+        return list(reader)
 
 
 def _by_pair(rows: list[dict], what: str) -> dict[tuple[str, str], dict]:

@@ -6,10 +6,13 @@ protocol hot paths (union/intersection/difference per reception) cheap.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 NodeSet = int  # bitmask over node ids
+_deadline = itemgetter(0)
 
 
 def bit(node: int) -> NodeSet:
@@ -96,10 +99,7 @@ class ReceptionTable:
             if gens[-1][0] < now:
                 dead_pids.append(pid)
             elif gens[0][0] < now:
-                i = 1
-                while gens[i][0] < now:
-                    i += 1
-                del gens[:i]
+                del gens[:bisect_left(gens, now, key=_deadline)]
         for pid in dead_pids:
             del self._gens[pid]
 
@@ -160,13 +160,13 @@ class NeighborView:
             self.next_expiry = expiry
 
     def prune(self, now: float, horizon: float) -> None:
-        """Drop neighbours not heard from within ``horizon`` seconds."""
+        """Drop neighbours not heard from within ``horizon`` seconds; before
+        ``next_expiry`` nothing can have expired, and it returns at once."""
         if now < self.next_expiry:
             return
         cutoff = now - horizon
         nxt = float("inf")
-        for u in list(self.last_heard):
-            heard = self.last_heard[u]
+        for u, heard in list(self.last_heard.items()):
             if heard < cutoff:
                 del self.last_heard[u]
                 del self.neigh_of[u]

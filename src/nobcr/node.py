@@ -142,8 +142,7 @@ class Node:
     def on_receive(self, pkt: Packet, now: float) -> list[Action]:
         actions: list[Action] = []
         view = self.view
-        if now >= view.next_expiry:
-            view.prune(now, self._hello_horizon)
+        view.prune(now, self._hello_horizon)
         tx = pkt.tx_node
         cs = pkt.constituents
         if self.table is not None:

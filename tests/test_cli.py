@@ -1,6 +1,7 @@
 """Command line surface: exit codes, output files, printed summaries."""
 import pytest
 
+from nobcr import harness
 from nobcr.cli import main, parse_seeds, parse_sets
 from nobcr.config import ConfigError
 from nobcr.harness import build_tasks, read_rows
@@ -96,6 +97,21 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "neither a preset nor a config file" in err
         assert "sparse-sources" in err  # the help list
+
+    def test_a_directory_target_exits_2(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
+        assert "neither a preset nor a config file" in capsys.readouterr().err
+
+    def test_an_out_that_is_a_file_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(harness, "run_tasks", lambda tasks, jobs=1: ran.extend(tasks) or [])
+        out = tmp_path / "taken"
+        out.write_text("")
+        rc = main(["run", "storage", "--desk", "--seeds", "1", "--set", "sim_duration=5",
+                   "--out", str(out)])
+        assert rc == 2
+        assert f"error: {out}: File exists" in capsys.readouterr().err
+        assert ran == []
 
     def test_unknown_variant_exits_2(self, tmp_path, capsys):
         rc = main(
@@ -263,6 +279,11 @@ class TestScriptCommand:
         assert "duplicate key 'collisions'" in captured.err
         assert captured.out == ""
 
+    def test_missing_script_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "nope.json"
+        assert main(["script", str(missing)]) == 2
+        assert f"error: {missing}: No such file or directory" in capsys.readouterr().err
+
     def test_invalid_script_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"config\": {\"n_nodes\": 2}}")
@@ -272,13 +293,15 @@ class TestScriptCommand:
 
 
 def _raw_csv(path, runs):
-    """A raw CSV of (variant, seed, data_tx) runs at sweep 10, other columns 1."""
+    """A raw CSV of (variant, seed, data_tx) runs of experiment x at sweep 10,
+    other columns 1."""
     from nobcr.metrics import SUMMARY_COLUMNS
 
-    lines = ["#schema=nobcr-raw-1", ",".join(["variant", "sweep", "seed"] + SUMMARY_COLUMNS)]
+    lines = ["#schema=nobcr-raw-1",
+             ",".join(["experiment", "variant", "sweep", "seed"] + SUMMARY_COLUMNS)]
     for variant, seed, tx in runs:
         values = [str(tx) if m == "data_tx" else "1" for m in SUMMARY_COLUMNS]
-        lines.append(",".join([variant, "10", str(seed)] + values))
+        lines.append(",".join(["x", variant, "10", str(seed)] + values))
     path.write_text("\n".join(lines) + "\n")
     return str(path)
 
@@ -307,6 +330,12 @@ class TestReportCommand:
         rc = main(["report", str(base), str(base)])
         assert rc == 2
         assert "missing schema line" in capsys.readouterr().err
+
+    def test_missing_input_exits_2(self, tmp_path, capsys):
+        base = _raw_csv(tmp_path / "base.csv", [("pdp-cu", 1, 200)])
+        missing = tmp_path / "nope.csv"
+        assert main(["report", base, str(missing)]) == 2
+        assert f"error: {missing}: No such file or directory" in capsys.readouterr().err
 
     def test_non_raw_input_exits_2(self, tmp_path, capsys):
         base = _raw_csv(tmp_path / "base.csv", [("pdp-cu", 1, 200)])

@@ -359,8 +359,8 @@ def test_waypoint_position_is_time_consistent():
 
 def test_waypoint_position_is_pure_on_leg_boundaries():
     """A query exactly on a leg boundary reads the earlier leg, wherever the
-    walker's cursor stood: the end of a move and the start of the pause after
-    it differ in the last bits."""
+    walker's previous answer fell: the end of a move and the start of the
+    pause after it differ in the last bits."""
     def walker():
         return Waypoint(substream(8, "mob", 3), 500.0, 2.0, 6.0, 1.0, t0=0.0)
 
@@ -369,6 +369,37 @@ def test_waypoint_position_is_pure_on_leg_boundaries():
     for leg in traj._legs[1:]:
         traj.position((leg[0] + leg[1]) / 2)
         assert traj.position(leg[0]) == walker().position(leg[0])
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    pause=st.one_of(st.just(0.0), st.floats(0.1, 5.0)),
+    data=st.data(),
+)
+def test_waypoint_answers_any_query_order_as_a_fresh_walker(seed, pause, data):
+    """One walker queried forward, backward, repeatedly, on leg boundaries
+    and one float beside them answers each time as a fresh walker on the
+    same stream does: the previous leg and the bisection agree."""
+    def walker():
+        return Waypoint(substream(seed, "mob", 0), 200.0, 5.0, 20.0, pause, t0=-5.0)
+
+    queried = walker()
+    walked = walker()
+    walked.position(300.0)  # its legs reach past any first query
+    boundaries = [b for leg in walked._legs for b in leg[:2]]
+    t = 0.0
+    for _ in range(data.draw(st.integers(1, 40))):
+        step = data.draw(st.sampled_from(["forward", "back", "repeat", "boundary", "beside"]))
+        if step == "forward":
+            t += data.draw(st.floats(0.0, 30.0))
+        elif step == "back":
+            t = max(-5.0, t - data.draw(st.floats(0.0, 30.0)))
+        elif step != "repeat":
+            t = data.draw(st.sampled_from(boundaries))
+            if step == "beside":
+                t = math.nextafter(t, data.draw(st.sampled_from([-math.inf, math.inf])))
+        assert queried.position(t) == walker().position(t)
 
 
 def test_waypoint_speed_matches_harmonic_average():

@@ -346,6 +346,13 @@ def test_importing_the_package_loads_no_process_pool():
     assert _loaded_by_import(("concurrent", "multiprocessing")) == "[]"
 
 
+def test_importing_the_package_loads_no_statistics_module():
+    # statistics pulls in fractions and decimal, ~0.4 MB and ~3 ms per
+    # process; the delay median and percentile are written out in
+    # nobcr.metrics instead
+    assert _loaded_by_import(("statistics", "fractions", "decimal")) == "[]"
+
+
 def synth_row(variant, sweep, seed, **metrics):
     row = {"experiment": "x", "variant": variant, "sweep": sweep, "seed": seed}
     for column in SUMMARY_COLUMNS:
@@ -421,6 +428,17 @@ class TestCsvRoundTrip:
             with pytest.raises(ValueError) as err:
                 read_rows(path)
             assert str(err.value) == f"{path}: not a raw CSV: found {schema}, expected {RAW_SCHEMA}"
+        # the right schema line over a header without some key columns
+        raw = tmp_path / "raw.csv"
+        write_raw_csv(rows, raw)
+        lines = raw.read_text().splitlines()
+        keep = [i for i, c in enumerate(lines[1].split(",")) if c not in ("experiment", "sweep")]
+        raw.write_text("\n".join(
+            [lines[0]] + [",".join(line.split(",")[i] for i in keep) for line in lines[1:]]
+        ) + "\n")
+        with pytest.raises(ValueError) as err:
+            read_rows(raw)
+        assert str(err.value) == f"{raw}: raw CSV lacks columns experiment, sweep"
 
     def test_identical_task_writes_identical_bytes(self, tmp_path):
         # the repeatability contract end to end: same config and seed, same file
